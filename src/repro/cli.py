@@ -445,16 +445,14 @@ def _cmd_chaos(args) -> int:
     import contextlib
     import tempfile
 
-    import numpy as np
-
     from repro.config import tiny_test_model
     from repro.obs import phase_summary, trace, write_chrome_trace
     from repro.resilience import (
         ChaosHarness,
         run_baseline,
         run_reset_reference,
-        states_bit_equal,
     )
+    from repro.verify.differential import loss_failures, state_failures
 
     if args.fast and not (args.plan or args.kill_at or args.corrupt
                           or args.save_fail or args.loss_spike
@@ -573,8 +571,9 @@ def _cmd_chaos(args) -> int:
             config, parallel, total_iterations=args.iterations,
             schedule=args.schedule, seed=args.seed,
         )
-        loss_ok = report.losses == base_losses
-        state_ok = states_bit_equal(report.final_state, base_state)
+        loss_ok = not loss_failures(report.losses, base_losses, exact=True)
+        state_ok = not state_failures(report.final_state, base_state,
+                                      exact=True)
         print(f"bit-exact vs uninterrupted run: losses={loss_ok}  "
               f"parameters={state_ok}")
         if not (loss_ok and state_ok):
@@ -588,15 +587,10 @@ def _cmd_chaos(args) -> int:
             config, args.batch, total_iterations=args.iterations,
             reset_at=reset_at, seed=args.seed,
         )
-        loss_ok = bool(np.allclose(
-            report.losses[reset_at:], ref_losses[reset_at:],
-            rtol=1e-9, atol=1e-12,
-        ))
-        state_ok = all(
-            np.allclose(report.final_state[k], ref_state[k],
-                        rtol=1e-8, atol=1e-11)
-            for k in ref_state if k != "head.tied"
-        )
+        loss_ok = not loss_failures(report.losses, ref_losses, exact=False,
+                                    start=reset_at)
+        state_ok = not state_failures(report.final_state, ref_state,
+                                      exact=False)
         print(f"resharded resume vs single-rank reference "
               f"(optimizer reset at {reset_at}): losses={loss_ok}  "
               f"parameters={state_ok}")
@@ -823,10 +817,7 @@ def _cmd_serve(args) -> int:
     import contextlib
     import json
 
-    import numpy as np
-
     from repro.config import tiny_test_model
-    from repro.nn.generate import generate
     from repro.nn.transformer import GPTModel
     from repro.serve import (
         PagedKVCache,
@@ -956,22 +947,12 @@ def _cmd_serve(args) -> int:
         # its single-request full-recompute oracle, token for token.
         # Typed degradation outcomes (timeout/rejected/cancelled/failed)
         # have no full stream to compare.
+        from repro.verify.differential import stream_failures
+
         completed = {r.request_id for r in report.requests
                      if r.outcome == "completed"}
-        for req in trace:
-            if req.request_id not in completed:
-                continue
-            oracle = generate(
-                model, np.array(req.prompt), req.max_new_tokens,
-                temperature=req.temperature, top_k=req.top_k,
-                rng=np.random.default_rng(req.seed),
-                stop_ids=set(req.stop_ids),
-            )
-            got = engine.outputs.get(req.request_id)
-            if got is None or not np.array_equal(oracle, got):
-                failures.append(
-                    f"{req.request_id}: engine stream != generate oracle"
-                )
+        failures += stream_failures(model, trace, engine.outputs,
+                                    completed=completed)
         print(f"smoke: {len(completed)} completed streams checked "
               f"against the oracle, {len(failures)} violations")
     for failure in failures:

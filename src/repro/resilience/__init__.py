@@ -76,7 +76,6 @@ from .harness import (
     run_baseline,
     run_reset_reference,
     shrink_parallel,
-    states_bit_equal,
 )
 from .recovery import (
     RecoveryEvent,
@@ -111,7 +110,6 @@ __all__ = [
     "run_baseline",
     "run_reset_reference",
     "shrink_parallel",
-    "states_bit_equal",
     "FaultPlan",
     "RankFailure",
     "LinkDegradation",

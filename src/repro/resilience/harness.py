@@ -625,12 +625,3 @@ def run_reset_reference(
         )
         losses.append(trainer.train_step(ids, targets))
     return losses, trainer.gather_state_dict()
-
-
-def states_bit_equal(
-    a: dict[str, np.ndarray], b: dict[str, np.ndarray]
-) -> bool:
-    """Exact (bit-for-bit) equality of two gathered state dicts."""
-    if set(a) != set(b):
-        return False
-    return all(np.array_equal(a[name], b[name]) for name in a)

@@ -23,134 +23,46 @@ seeded repro string.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .conformance import ConformanceCase, model_for_case, sample_cases
-
-
-def _records(log) -> list[tuple]:
-    return [(r.src, r.dst, r.nbytes, r.kind.value, r.tag) for r in log.records]
-
-
-def _run_ptd_backend(config, case: ConformanceCase, ids, targets, lr,
-                     backend: str):
-    from repro.comm import TrafficLog
-    from repro.config import ParallelConfig
-    from repro.parallel import PTDTrainer
-
-    parallel = ParallelConfig(
-        pipeline_parallel_size=case.p,
-        tensor_parallel_size=case.t,
-        data_parallel_size=case.d,
-        microbatch_size=case.b,
-        global_batch_size=case.global_batch_size,
-        num_model_chunks=case.v,
-    )
-    log = TrafficLog()
-    trainer = PTDTrainer(
-        config, parallel, schedule=case.schedule, seed=0, lr=lr,
-        recompute_activations=case.recompute, log=log, backend=backend,
-    )
-    try:
-        losses = [trainer.train_step(ids, targets)
-                  for _ in range(case.iterations)]
-        state = trainer.gather_state_dict()
-        opt = {
-            "step_count": trainer.optimizers[0].step_count,
-            "m": [a.copy() for a in trainer.optimizers[0]._m],
-            "v": [a.copy() for a in trainer.optimizers[0]._v],
-        }
-    finally:
-        trainer.close()
-    return losses, state, opt, _records(log)
-
-
-def _run_zero_backend(config, case: ConformanceCase, ids, targets, lr,
-                      backend: str):
-    from repro.comm import TrafficLog
-    from repro.nn import GPTModel
-    from repro.parallel import Zero3Engine
-
-    model = GPTModel(config, seed=0)
-    params = model.parameters()
-    log = TrafficLog()
-    engine = Zero3Engine(params, case.d, lr=lr, log=log, backend=backend)
-    try:
-        shard_ids = np.split(ids, case.d)
-        shard_tgts = np.split(targets, case.d)
-        losses = []
-        for _ in range(case.iterations):
-            engine.gather_params("fwd")
-            replica_grads, step_losses = [], []
-            for r in range(case.d):
-                model.zero_grad()
-                engine.gather_params("bwd")
-                loss, caches = model.loss(shard_ids[r], shard_tgts[r])
-                model.loss_backward(caches)
-                replica_grads.append([p.grad.copy() for p in params])
-                step_losses.append(loss)
-            engine.reduce_and_step(replica_grads)
-            losses.append(float(np.mean(step_losses)))
-        engine.gather_params("final")
-        state = model.state_dict()
-    finally:
-        engine.close()
-    return losses, state, None, _records(log)
+from .differential import case_batch, loss_failures, state_failures, train_case
 
 
 def check_backend_case(case: ConformanceCase) -> list[str]:
     """Run ``case`` under both backends; return bit-exactness failures."""
     config = model_for_case(case)
-    rng = np.random.default_rng(case.seed)
-    B = case.global_batch_size
-    ids = rng.integers(0, config.vocab_size, size=(B, config.seq_length))
-    targets = rng.integers(0, config.vocab_size, size=(B, config.seq_length))
-    lr = 1e-2
-    runner = _run_zero_backend if case.zero else _run_ptd_backend
+    ids, targets = case_batch(case, config)
+    coop = train_case(case, config, ids, targets, backend="coop")
+    mp = train_case(case, config, ids, targets, backend="mp")
 
-    coop_losses, coop_state, coop_opt, coop_recs = runner(
-        config, case, ids, targets, lr, "coop"
-    )
-    mp_losses, mp_state, mp_opt, mp_recs = runner(
-        config, case, ids, targets, lr, "mp"
-    )
-
-    failures: list[str] = []
-    for i, (a, b) in enumerate(zip(coop_losses, mp_losses)):
-        if a != b:
-            failures.append(
-                f"iteration {i} loss differs across backends: "
-                f"coop {a!r} vs mp {b!r}"
-            )
-    for name, want in coop_state.items():
-        got = mp_state.get(name)
-        if got is None:
-            failures.append(f"mp state is missing parameter {name}")
-        elif not np.array_equal(got, want):
-            failures.append(
-                f"parameter {name} not bit-identical across backends "
-                f"(max |diff|={np.max(np.abs(got - want)):.3e})"
-            )
-    if coop_opt is not None:
-        if coop_opt["step_count"] != mp_opt["step_count"]:
+    failures = loss_failures(mp.losses, coop.losses, exact=True,
+                             oracle="coop")
+    failures += state_failures(mp.state, coop.state, exact=True,
+                               oracle="coop")
+    if coop.optimizer is not None:
+        if coop.optimizer["step_count"] != mp.optimizer["step_count"]:
             failures.append("optimizer step_count differs across backends")
         for key in ("m", "v"):
-            for i, (a, b) in enumerate(zip(coop_opt[key], mp_opt[key])):
-                if not np.array_equal(a, b):
-                    failures.append(
-                        f"Adam {key}[{i}] not bit-identical across backends"
-                    )
-                    break
-    if coop_recs != mp_recs:
-        if len(coop_recs) != len(mp_recs):
+            pairs = zip(coop.optimizer[key], mp.optimizer[key])
+            bad = next((i for i, (a, b) in enumerate(pairs)
+                        if not np.array_equal(a, b)), None)
+            if bad is not None:
+                failures.append(
+                    f"Adam {key}[{bad}] not bit-identical across backends"
+                )
+    if coop.traffic != mp.traffic:
+        if len(coop.traffic) != len(mp.traffic):
             failures.append(
-                f"traffic log length differs: coop {len(coop_recs)} "
-                f"records vs mp {len(mp_recs)}"
+                f"traffic log length differs: coop {len(coop.traffic)} "
+                f"records vs mp {len(mp.traffic)}"
             )
         else:
             idx, a, b = next(
-                (i, x, y) for i, (x, y) in enumerate(zip(coop_recs, mp_recs))
-                if x != y
+                (i, x, y) for i, (x, y)
+                in enumerate(zip(coop.traffic, mp.traffic)) if x != y
             )
             failures.append(
                 f"traffic record #{idx} differs: coop {a} vs mp {b}"
@@ -166,14 +78,7 @@ def backend_cases(fast: bool, num_cases: int | None, seed: int,
         num_cases = 4 if fast else 10
     cases = sample_cases(num_cases, seed=seed)
     if fast:
-        cases = [
-            ConformanceCase(
-                p=c.p, t=c.t, d=c.d, v=c.v, b=c.b, m=c.m,
-                schedule=c.schedule, recompute=c.recompute, zero=c.zero,
-                seed=c.seed, iterations=min(c.iterations, 2),
-            )
-            for c in cases
-        ]
+        cases = [replace(c, iterations=min(c.iterations, 2)) for c in cases]
     # Always include one composed multi-replica case: d>1 is where the
     # shared-memory gradient ring actually runs.
     if not any(c.d > 1 and not c.zero for c in cases):
@@ -182,19 +87,24 @@ def backend_cases(fast: bool, num_cases: int | None, seed: int,
     return cases
 
 
-def run_backend_checks(fast: bool, num_cases: int | None, seed: int,
-                       ) -> list[tuple[ConformanceCase, list[str]]]:
-    """Run the grid; returns ``(case, failures)`` per case.  Also
-    asserts the backends leaked no shared-memory segments."""
+def run_backend_checks(*, fast: bool = False, seed: int = 0,
+                       num_cases: int | None = None,
+                       ) -> list[tuple[str, list[str]]]:
+    """Run the grid; returns ``(case, failures)`` per case, each failure
+    ending in the case's repro string.  Also asserts the backends
+    leaked no shared-memory segments."""
     from repro.comm.shm_ring import leaked_dev_shm_segments, live_segment_names
 
-    results = []
-    for case in backend_cases(fast, num_cases, seed):
-        results.append((case, check_backend_case(case)))
+    results = [(case, check_backend_case(case))
+               for case in backend_cases(fast, num_cases, seed)]
     leaks = live_segment_names() + leaked_dev_shm_segments()
     if leaks:
         results.append((
             ConformanceCase(seed=seed),
             [f"shared-memory segments leaked after backend grid: {leaks}"],
         ))
-    return results
+    return [
+        (case.describe(),
+         [f"{f}\nrepro: {case.repro_string}" for f in failures])
+        for case, failures in results
+    ]

@@ -25,9 +25,7 @@ so the runner can aggregate them like every other section.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .conformance import LOSS_ATOL, LOSS_RTOL, PARAM_ATOL, PARAM_RTOL
+from .differential import loss_failures, state_failures
 
 
 def _tiny_model():
@@ -46,22 +44,11 @@ def _dp2(batch: int = 4):
 
 
 def _compare_bit_exact(report, base_losses, base_state) -> list[str]:
-    from repro.resilience import states_bit_equal
-
-    failures = []
-    if report.losses != base_losses:
-        bad = [i for i, (a, b) in
-               enumerate(zip(report.losses, base_losses)) if a != b]
-        failures.append(
-            f"recovered losses differ from uninterrupted run at "
-            f"iterations {bad}"
-        )
-    if not states_bit_equal(report.final_state, base_state):
-        failures.append(
-            "recovered final parameters are not bit-identical to the "
-            "uninterrupted run"
-        )
-    return failures
+    oracle = "uninterrupted run"
+    return (loss_failures(report.losses, base_losses, exact=True,
+                          oracle=oracle)
+            + state_failures(report.final_state, base_state, exact=True,
+                             oracle=oracle))
 
 
 def check_bit_exact_resume(directory: str, *, kill_at: int = 3,
@@ -249,24 +236,11 @@ def check_reshard_resume(directory: str, *, kill_at: int = 3,
         config, parallel.global_batch_size, total_iterations=total,
         reset_at=reset_at, seed=seed,
     )
-    for i in range(reset_at, total):
-        if not np.isclose(report.losses[i], ref_losses[i],
-                          rtol=LOSS_RTOL, atol=LOSS_ATOL):
-            failures.append(
-                f"iteration {i} loss {report.losses[i]!r} deviates from "
-                f"the serial-reset reference {ref_losses[i]!r}"
-            )
-    for name, want in ref_state.items():
-        if name == "head.tied":
-            continue
-        got = report.final_state.get(name)
-        if got is None:
-            failures.append(f"resharded state is missing {name}")
-        elif not np.allclose(got, want, rtol=PARAM_RTOL, atol=PARAM_ATOL):
-            failures.append(
-                f"parameter {name} deviates from the serial-reset "
-                f"reference (max |diff|={np.max(np.abs(got - want)):.3e})"
-            )
+    oracle = "serial-reset reference"
+    failures += loss_failures(report.losses, ref_losses, exact=False,
+                              oracle=oracle, start=reset_at)
+    failures += state_failures(report.final_state, ref_state, exact=False,
+                               oracle=oracle)
     return failures
 
 

@@ -8,10 +8,10 @@ module makes that claim executable over the whole configuration space
 instead of a hand-picked test matrix: it samples random small-model
 ``(d, t, p, v, b, m, schedule, recompute, ZeRO)`` configurations, trains
 a few iterations through the real engine, and compares against the
-single-rank baseline at fp64 near-ulp tolerance (the engine is exact;
-the only permitted deviation is floating-point summation-order noise
-from ring reductions, bounded at rtol 1e-9 for losses and 1e-8 for
-parameters -- the same bounds the equivalence tests have always used).
+single-rank baseline at the fp64 bounds of
+:mod:`repro.verify.differential` (the engine is exact; the only
+permitted deviation is floating-point summation-order noise from ring
+reductions).
 
 Every failure carries a *seeded repro string*: a ``python -m repro
 verify --case ...`` invocation that deterministically reproduces the
@@ -25,13 +25,16 @@ the CLI works in minimal environments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-# Tolerances: fp64 exactness up to ring-reduction summation order.
-LOSS_RTOL, LOSS_ATOL = 1e-9, 1e-12
-PARAM_RTOL, PARAM_ATOL = 1e-8, 1e-11
+from .differential import (
+    case_batch,
+    loss_failures,
+    state_failures,
+    train_case,
+)
 
 
 @dataclass(frozen=True)
@@ -151,87 +154,6 @@ class ConformanceResult:
         return out
 
 
-def _batch(case: ConformanceCase, config) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(case.seed)
-    B = case.global_batch_size
-    ids = rng.integers(0, config.vocab_size, size=(B, config.seq_length))
-    targets = rng.integers(0, config.vocab_size, size=(B, config.seq_length))
-    return ids, targets
-
-
-def _baseline(config, case: ConformanceCase, ids, targets, lr):
-    """Single-rank reference: p=t=d=v=1, the whole batch in one
-    microbatch -- serial execution in the paper's sense."""
-    from repro.config import ParallelConfig
-    from repro.parallel import PTDTrainer
-
-    B = case.global_batch_size
-    trainer = PTDTrainer(
-        config,
-        ParallelConfig(microbatch_size=B, global_batch_size=B),
-        schedule="1f1b",
-        seed=0,
-        lr=lr,
-    )
-    losses = [trainer.train_step(ids, targets) for _ in range(case.iterations)]
-    return trainer.gather_state_dict(), losses
-
-
-def _run_ptd(config, case: ConformanceCase, ids, targets, lr,
-             perturb_gradient: float):
-    from repro.config import ParallelConfig
-    from repro.parallel import PTDTrainer
-
-    parallel = ParallelConfig(
-        pipeline_parallel_size=case.p,
-        tensor_parallel_size=case.t,
-        data_parallel_size=case.d,
-        microbatch_size=case.b,
-        global_batch_size=case.global_batch_size,
-        num_model_chunks=case.v,
-    )
-    parallel.validate_for_model(config)
-    trainer = PTDTrainer(
-        config, parallel, schedule=case.schedule, seed=0, lr=lr,
-        recompute_activations=case.recompute,
-    )
-    losses = [trainer.train_step(ids, targets) for _ in range(case.iterations)]
-    if perturb_gradient:
-        # Model a silently corrupted gradient: the bad update has already
-        # landed in one replica's parameters by the time anyone compares.
-        p0 = trainer.replicas[0].parameters()[0]
-        p0.data.ravel()[0] += perturb_gradient
-    replica_params = [r.parameters() for r in trainer.replicas]
-    return trainer.gather_state_dict(), losses, replica_params
-
-
-def _run_zero3(config, case: ConformanceCase, ids, targets, lr):
-    """ZeRO-3 run (fully-sharded data parallel; §5.2 baseline)."""
-    from repro.nn import GPTModel
-    from repro.parallel import Zero3Engine
-
-    model = GPTModel(config, seed=0)
-    params = model.parameters()
-    engine = Zero3Engine(params, case.d, lr=lr)
-    shard_ids = np.split(ids, case.d)
-    shard_tgts = np.split(targets, case.d)
-    losses = []
-    for _ in range(case.iterations):
-        engine.gather_params("fwd")
-        replica_grads, step_losses = [], []
-        for r in range(case.d):
-            model.zero_grad()
-            engine.gather_params("bwd")
-            loss, caches = model.loss(shard_ids[r], shard_tgts[r])
-            model.loss_backward(caches)
-            replica_grads.append([p.grad.copy() for p in params])
-            step_losses.append(loss)
-        engine.reduce_and_step(replica_grads)
-        losses.append(float(np.mean(step_losses)))
-    engine.gather_params("final")
-    return model.state_dict(), losses
-
-
 def run_case(
     case: ConformanceCase, *, perturb_gradient: float = 0.0
 ) -> ConformanceResult:
@@ -243,102 +165,46 @@ def run_case(
     """
     _check_case(case)
     config = model_for_case(case)
-    ids, targets = _batch(case, config)
-    lr = 1e-2
+    ids, targets = case_batch(case, config)
 
-    base_state, base_losses = _baseline(config, case, ids, targets, lr)
-    replica_params = None
-    if case.zero:
-        # ZeRO-3 cases use d copies of the global batch per shard split.
-        par_state, par_losses = _run_zero3(config, case, ids, targets, lr)
-    else:
-        par_state, par_losses, replica_params = _run_ptd(
-            config, case, ids, targets, lr, perturb_gradient
-        )
-        if perturb_gradient:
-            par_state = None  # regather below, after the perturbation
-
-    failures: list[str] = []
+    # Single-rank reference: p=t=d=v=1, the whole batch in one
+    # microbatch -- serial execution in the paper's sense.
+    serial = ConformanceCase(b=case.global_batch_size, seed=case.seed,
+                             iterations=case.iterations)
+    base = train_case(serial, config, ids, targets)
+    par = train_case(case, config, ids, targets, perturb=perturb_gradient)
 
     # 1. per-iteration losses agree with serial execution.
-    for i, (got, want) in enumerate(zip(par_losses, base_losses)):
-        if not np.isclose(got, want, rtol=LOSS_RTOL, atol=LOSS_ATOL):
-            failures.append(
-                f"iteration {i} loss {got!r} != baseline {want!r} "
-                f"(|diff|={abs(got - want):.3e})"
-            )
+    failures = loss_failures(par.losses, base.losses, exact=False)
 
     # 2. data-parallel replicas hold identical parameters (the averaged
     #    gradient and the optimizer step are shared state).
-    if replica_params is not None and len(replica_params) > 1:
-        ref = replica_params[0]
-        for rep_idx, params in enumerate(replica_params[1:], start=1):
-            for p_idx, (a, b) in enumerate(zip(ref, params)):
-                if not np.array_equal(a.data, b.data):
-                    failures.append(
-                        f"replica {rep_idx} parameter #{p_idx} diverged "
-                        f"from replica 0 (max "
-                        f"|diff|={np.max(np.abs(a.data - b.data)):.3e})"
-                    )
-                    break
-            else:
-                continue
+    replicas = par.replicas or []
+    for rep_idx, params in enumerate(replicas[1:], start=1):
+        diverged = next(
+            ((p_idx, a, b) for p_idx, (a, b)
+             in enumerate(zip(replicas[0], params))
+             if not np.array_equal(a, b)),
+            None,
+        )
+        if diverged is not None:
+            p_idx, a, b = diverged
+            failures.append(
+                f"replica {rep_idx} parameter #{p_idx} diverged "
+                f"from replica 0 (max |diff|={np.max(np.abs(a - b)):.3e})"
+            )
             break
 
     # 3. final parameters match the baseline in serial layout.
-    if par_state is None:  # regather after a perturbation landed
-        from repro.parallel import PTDTrainer  # noqa: F401  (doc pointer)
-
-        par_state = _regather(config, case, ids, targets, lr,
-                              perturb_gradient)
-    for name, want in base_state.items():
-        if name == "head.tied":
-            continue
-        got = par_state.get(name)
-        if got is None:
-            failures.append(f"parallel state is missing parameter {name}")
-            continue
-        if got.shape != want.shape:
-            failures.append(
-                f"parameter {name}: shape {got.shape} != {want.shape}"
-            )
-        elif not np.allclose(got, want, rtol=PARAM_RTOL, atol=PARAM_ATOL):
-            failures.append(
-                f"parameter {name} deviates from baseline (max "
-                f"|diff|={np.max(np.abs(got - want)):.3e})"
-            )
+    failures += state_failures(par.state, base.state, exact=False)
 
     return ConformanceResult(
         case=case,
         ok=not failures,
         failures=failures,
-        losses_parallel=[float(x) for x in par_losses],
-        losses_baseline=[float(x) for x in base_losses],
+        losses_parallel=[float(x) for x in par.losses],
+        losses_baseline=[float(x) for x in base.losses],
     )
-
-
-def _regather(config, case, ids, targets, lr, perturb_gradient):
-    """Re-run the parallel case and gather state *after* perturbation."""
-    from repro.config import ParallelConfig
-    from repro.parallel import PTDTrainer
-
-    parallel = ParallelConfig(
-        pipeline_parallel_size=case.p,
-        tensor_parallel_size=case.t,
-        data_parallel_size=case.d,
-        microbatch_size=case.b,
-        global_batch_size=case.global_batch_size,
-        num_model_chunks=case.v,
-    )
-    trainer = PTDTrainer(
-        config, parallel, schedule=case.schedule, seed=0, lr=lr,
-        recompute_activations=case.recompute,
-    )
-    for _ in range(case.iterations):
-        trainer.train_step(ids, targets)
-    p0 = trainer.replicas[0].parameters()[0]
-    p0.data.ravel()[0] += perturb_gradient
-    return trainer.gather_state_dict()
 
 
 def sample_cases(n: int, seed: int = 0) -> list[ConformanceCase]:

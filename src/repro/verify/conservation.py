@@ -32,9 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .conformance import ConformanceCase, model_for_case
+from .differential import build_trainer, case_batch
 
 
 @dataclass(frozen=True)
@@ -150,9 +149,7 @@ def _expected(case: ConformanceCase, config, trainer) -> dict[str, int]:
 def check_conservation(case: ConformanceCase) -> ConservationReport:
     """Train one iteration of ``case`` and compare measured vs analytic."""
     from repro.comm.traffic import TrafficKind, TrafficLog
-    from repro.config import ParallelConfig
     from repro.nn.profiler import count_flops
-    from repro.parallel import PTDTrainer
 
     if case.zero:
         raise ValueError(
@@ -161,25 +158,8 @@ def check_conservation(case: ConformanceCase) -> ConservationReport:
         )
     config = model_for_case(case)
     log = TrafficLog()
-    trainer = PTDTrainer(
-        config,
-        ParallelConfig(
-            pipeline_parallel_size=case.p,
-            tensor_parallel_size=case.t,
-            data_parallel_size=case.d,
-            microbatch_size=case.b,
-            global_batch_size=case.global_batch_size,
-            num_model_chunks=case.v,
-        ),
-        schedule=case.schedule,
-        seed=0,
-        recompute_activations=case.recompute,
-        log=log,
-    )
-    rng = np.random.default_rng(case.seed)
-    B = case.global_batch_size
-    ids = rng.integers(0, config.vocab_size, size=(B, config.seq_length))
-    targets = rng.integers(0, config.vocab_size, size=(B, config.seq_length))
+    trainer = build_trainer(case, config, log=log)
+    ids, targets = case_batch(case, config)
     with count_flops() as meter:
         trainer.train_step(ids, targets)
 

@@ -1,34 +1,21 @@
 """``python -m repro verify``: run every verification layer, report, exit.
 
-Seven sections, each independently reportable:
+Eight sections, each independently reportable (``--only``), in this
+order; :mod:`repro.verify` describes each one and the differential
+contract the five comparing sections share:
 
-- ``schedules``     -- static validation of every shipped schedule
-  generator across a (p, m, v) grid, plus any user-supplied schedule
-  JSON fixture (``--schedule-json``).
-- ``sanitizer``     -- a real composed (p, t, d) training step under the
-  collective sanitizer; any cross-rank timeline divergence fails.
-- ``conformance``   -- N sampled random configurations trained against
-  the single-rank baseline (``--configs``/``--seed``/``--case``).
-- ``backend``       -- cross-backend conformance
-  (:mod:`repro.verify.backend_check`): the multi-process shared-memory
-  backend must be bit-identical to the cooperative oracle (losses,
-  parameters, optimizer state, traffic log) over the same stratified
-  config grid, and must leak no ``/dev/shm`` segments.
-- ``conservation``  -- measured traffic bytes and FLOPs vs the §3.2 /
-  eq. (3) closed forms, exact integer equality.
-- ``chaos``         -- fault-tolerance conformance
-  (:mod:`repro.verify.chaos_check`): a run killed and recovered by the
-  chaos harness must be bit-identical to an uninterrupted run, a
-  corrupted newest checkpoint must fall back to an older verified one,
-  interrupted commits must never leave ``LATEST`` at an unverifiable
-  checkpoint, and a resharded resume must match the single-rank
-  reference at fp64 tolerance.
-- ``serve``         -- serving conformance
-  (:mod:`repro.verify.serve_check`): paged-KV cached decode, the
-  continuous-batching engine (including under forced preemption and on
-  bit-exact trace replay) and tensor-parallel decode must all produce
-  token streams equal to the full-recompute ``generate`` oracle, with
-  zero leaked cache blocks.
+- ``schedules``    -- every shipped schedule generator across a
+  (p, m, v) grid, plus any ``--schedule-json`` fixture.
+- ``sanitizer``    -- one composed (p, t, d) training step under the
+  collective sanitizer.
+- ``conformance``  -- ``--configs`` sampled cases (``--seed``), or one
+  ``--case``, against the single-rank baseline.
+- ``backend``      -- the sampled grid on mp vs coop, plus a
+  ``/dev/shm`` leak check.
+- ``conservation`` -- measured bytes and FLOPs vs the closed forms.
+- ``chaos``        -- recovery conformance of the chaos harness.
+- ``serve``        -- decode conformance vs the ``generate`` oracle.
+- ``serve-chaos``  -- the serving engine under injected faults.
 
 Mutation self-test (``--inject``): the verifier is itself verified by
 injecting one of three known defects and demanding it is caught --
@@ -44,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 INJECT_MODES = ("reorder", "collective-shape", "grad-perturb")
+SECTIONS = ("schedules", "sanitizer", "conformance", "backend",
+            "conservation", "chaos", "serve", "serve-chaos")
 
 
 @dataclass
@@ -188,28 +177,6 @@ def _run_conformance(fast: bool, num_cases: int, seed: int,
     return section
 
 
-def _run_backend(fast: bool, num_cases: int | None, seed: int) -> SectionResult:
-    """Cross-backend conformance: mp (real processes over shared
-    memory) must be *bit*-identical to the coop oracle — losses,
-    parameters, optimizer state and the traffic log, with no leaked
-    ``/dev/shm`` segments."""
-    from .backend_check import run_backend_checks
-
-    section = SectionResult("backend")
-    results = run_backend_checks(fast, num_cases, seed)
-    section.checks = len(results)
-    for case, failures in results:
-        for failure in failures:
-            section.failures.append(
-                f"{case.describe()}: {failure}\nrepro: {case.repro_string}"
-            )
-    section.notes.append(
-        f"{len(results)} configs bit-compared coop vs mp "
-        "(losses, params, optimizer, traffic)"
-    )
-    return section
-
-
 def _run_conservation(fast: bool) -> SectionResult:
     from .conservation import check_conservation, default_conservation_configs
 
@@ -225,49 +192,33 @@ def _run_conservation(fast: bool) -> SectionResult:
     return section
 
 
-def _run_chaos(fast: bool, seed: int) -> SectionResult:
-    from .chaos_check import run_chaos_checks
-
-    section = SectionResult("chaos")
-    results = run_chaos_checks(fast=fast, seed=seed)
-    section.checks = len(results)
-    for name, failures in results:
-        for failure in failures:
-            section.failures.append(f"{name}: {failure}")
-    section.notes.append(
-        "recovery conformance: " + ", ".join(name for name, _ in results)
-    )
-    return section
-
-
-def _run_serve(fast: bool, seed: int) -> SectionResult:
-    from .serve_check import run_serve_checks
-
-    section = SectionResult("serve")
-    results = run_serve_checks(fast=fast, seed=seed)
-    section.checks = len(results)
-    for name, failures in results:
-        for failure in failures:
-            section.failures.append(f"{name}: {failure}")
-    section.notes.append(
-        "decode conformance vs the generate oracle: "
-        + ", ".join(name for name, _ in results)
-    )
-    return section
+# Sections whose module returns ``(label, failures)`` per check:
+# name -> (module, function, note; ``{n}`` and ``{labels}`` expand).
+_CHECK_SECTIONS = {
+    "backend": ("backend_check", "run_backend_checks",
+                "{n} configs bit-compared coop vs mp "
+                "(losses, params, optimizer, traffic)"),
+    "chaos": ("chaos_check", "run_chaos_checks",
+              "recovery conformance: {labels}"),
+    "serve": ("serve_check", "run_serve_checks",
+              "decode conformance vs the generate oracle: {labels}"),
+    "serve-chaos": ("serve_chaos_check", "run_serve_chaos_checks",
+                    "serving under fire: {labels}"),
+}
 
 
-def _run_serve_chaos(fast: bool, seed: int) -> SectionResult:
-    from .serve_chaos_check import run_serve_chaos_checks
+def _checks_section(name: str, **kwargs) -> SectionResult:
+    import importlib
 
-    section = SectionResult("serve-chaos")
-    results = run_serve_chaos_checks(fast=fast, seed=seed)
-    section.checks = len(results)
-    for name, failures in results:
-        for failure in failures:
-            section.failures.append(f"{name}: {failure}")
-    section.notes.append(
-        "serving under fire: " + ", ".join(name for name, _ in results)
-    )
+    module, function, note = _CHECK_SECTIONS[name]
+    run = getattr(importlib.import_module(f".{module}", __package__),
+                  function)
+    results = run(**kwargs)
+    labels = ", ".join(label for label, _ in results)
+    section = SectionResult(name, checks=len(results),
+                            notes=[note.format(n=len(results), labels=labels)])
+    for label, failures in results:
+        section.failures += [f"{label}: {f}" for f in failures]
     return section
 
 
@@ -328,10 +279,7 @@ def run_verification(
             f"unknown injection mode {inject!r}; choose from "
             f"{', '.join(INJECT_MODES)}"
         )
-    if only is not None and only not in (
-        "schedules", "sanitizer", "conformance", "backend", "conservation",
-        "chaos", "serve", "serve-chaos",
-    ):
+    if only is not None and only not in SECTIONS:
         raise ValueError(f"unknown section {only!r}")
     if num_cases is None:
         num_cases = 6 if fast else 25
@@ -351,27 +299,26 @@ def run_verification(
             _run_conformance(fast, num_cases, seed, case, None)
         )
     else:
-        if only in (None, "schedules"):
-            report.sections.append(_run_schedules(fast, schedule_json))
-        if only in (None, "sanitizer"):
-            report.sections.append(_run_sanitizer(None, seed))
-        if only in (None, "conformance"):
-            report.sections.append(
-                _run_conformance(fast, num_cases, seed, None, None)
-            )
-        if only in (None, "backend"):
-            report.sections.append(
-                _run_backend(fast, num_cases if only == "backend" else None,
-                             seed)
-            )
-        if only in (None, "conservation"):
-            report.sections.append(_run_conservation(fast))
-        if only in (None, "chaos"):
-            report.sections.append(_run_chaos(fast, seed))
-        if only in (None, "serve"):
-            report.sections.append(_run_serve(fast, seed))
-        if only in (None, "serve-chaos"):
-            report.sections.append(_run_serve_chaos(fast, seed))
+        sections = {
+            "schedules": lambda: _run_schedules(fast, schedule_json),
+            "sanitizer": lambda: _run_sanitizer(None, seed),
+            "conformance": lambda: _run_conformance(
+                fast, num_cases, seed, None, None
+            ),
+            "backend": lambda: _checks_section(
+                "backend", fast=fast, seed=seed,
+                num_cases=num_cases if only == "backend" else None,
+            ),
+            "conservation": lambda: _run_conservation(fast),
+            "chaos": lambda: _checks_section("chaos", fast=fast, seed=seed),
+            "serve": lambda: _checks_section("serve", fast=fast, seed=seed),
+            "serve-chaos": lambda: _checks_section(
+                "serve-chaos", fast=fast, seed=seed
+            ),
+        }
+        for name, run in sections.items():
+            if only in (None, name):
+                report.sections.append(run())
 
     if inject is not None and report.ok:
         # The injected defect was NOT caught: the verifier itself is

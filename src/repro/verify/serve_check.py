@@ -21,14 +21,13 @@ fast paths of :mod:`repro.serve` to it:
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from repro.config import tiny_test_model
 from repro.nn.generate import generate
 from repro.nn.transformer import GPTModel
-from repro.obs.runlog import RunLogger
+
+from .differential import replay_failures, run_engine, stream_failures
 
 
 def _grid(fast: bool, seed: int):
@@ -95,34 +94,6 @@ def _check_cached_decode(fast: bool, seed: int) -> list[str]:
     return failures
 
 
-def _run_trace(model, trace, num_blocks, block_size):
-    """One deterministic engine run; returns (outputs, report, events)."""
-    from repro.serve import PagedKVCache, ServeEngine
-
-    cache = PagedKVCache.for_model(
-        model, num_blocks=num_blocks, block_size=block_size
-    )
-    buf = io.StringIO()
-    logger = RunLogger(buf, "serve-check", clock=lambda: 0.0)
-    logger.start("serve")
-    engine = ServeEngine(model, cache, logger=logger)
-    report = engine.run(trace)
-    cache.assert_empty()
-    import json
-
-    events = []
-    for line in buf.getvalue().splitlines():
-        event = json.loads(line)
-        if event["type"] not in ("request", "iteration"):
-            continue
-        # Wall-clock fields are the only nondeterminism; everything on
-        # the virtual clock must replay bit-exactly.
-        event.pop("t", None)
-        event.pop("seconds", None)
-        events.append(event)
-    return engine.outputs, report, events
-
-
 def _check_engine(fast: bool, seed: int) -> list[str]:
     from repro.serve import poisson_trace
 
@@ -133,38 +104,24 @@ def _check_engine(fast: bool, seed: int) -> list[str]:
         n, 0.7, vocab_size=config.vocab_size, seed=seed + 2,
         temperature=1.0, top_k=5,
     )
+
+    def once():
+        # A 4-block pool is deliberately scarce: the trace must preempt.
+        run = run_engine(model, trace, num_blocks=4, block_size=3)
+        run[0].cache.assert_empty()
+        return run
+
+    # The second run of the same trace is the deterministic replay.
+    first, second = once(), once()
+    engine, report, _ = first
     failures = []
-    # A 4-block pool is deliberately scarce: the trace must preempt.
-    outputs, report, events = _run_trace(model, trace, 4, 3)
     if sum(r.preemptions for r in report.requests) == 0:
         failures.append(
             "scarce-capacity trace triggered no preemption -- the "
             "preemption path went unexercised"
         )
-    for req in trace:
-        oracle = generate(
-            model, np.array(req.prompt), req.max_new_tokens,
-            temperature=req.temperature, top_k=req.top_k,
-            rng=np.random.default_rng(req.seed),
-            stop_ids=set(req.stop_ids),
-        )
-        got = outputs.get(req.request_id)
-        if got is None or not np.array_equal(oracle, got):
-            failures.append(
-                f"engine stream for {req.request_id} != its oracle: "
-                f"oracle={oracle.tolist()} "
-                f"engine={None if got is None else got.tolist()}"
-            )
-    # Deterministic replay: same trace, fresh pool -> identical run.
-    outputs2, report2, events2 = _run_trace(model, trace, 4, 3)
-    for rid, stream in outputs.items():
-        if not np.array_equal(stream, outputs2[rid]):
-            failures.append(f"replay diverged on {rid}'s token stream")
-    if report.to_dict()["requests"] != report2.to_dict()["requests"]:
-        failures.append("replay diverged on per-request metrics")
-    if events != events2:
-        failures.append("replay diverged on the run-log event sequence")
-    return failures
+    failures += stream_failures(model, trace, engine.outputs)
+    return failures + replay_failures(first, second)
 
 
 def _check_tp(fast: bool, seed: int) -> list[str]:

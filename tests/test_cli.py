@@ -475,7 +475,7 @@ class TestMetricsOutUnified:
         rc = main([
             "trace", "--layers", "4", "--hidden", "32", "--heads", "4",
             "--vocab", "64", "--seq", "16", "-p", "2", "--batch", "4",
-            "--metrics-out", str(metrics),
+            "--metrics-out", str(metrics), "--out", str(tmp_path / "t.json"),
         ])
         assert rc == 0
         m = self._check(metrics)
@@ -504,6 +504,7 @@ class TestTraceProfile:
             "trace", "--layers", "4", "--hidden", "32", "--heads", "4",
             "--vocab", "64", "--seq", "16", "-p", "2", "--batch", "4",
             "--profile", "--top", "5", "--folded", str(folded),
+            "--out", str(tmp_path / "t.json"),
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -639,7 +640,8 @@ class TestMonitorCLI:
 
     def _trace_runlog(self, tmp_path, capsys):
         runs = tmp_path / "runs"
-        rc = main([*TINY_TRACE, "--runlog", str(runs)])
+        rc = main([*TINY_TRACE, "--runlog", str(runs),
+                   "--out", str(tmp_path / "t.json")])
         assert rc == 0
         capsys.readouterr()
         return str(runs)
@@ -695,7 +697,8 @@ class TestMonitorCLI:
 
     def test_list_and_gc(self, tmp_path, capsys):
         runs = self._trace_runlog(tmp_path, capsys)
-        main([*TINY_TRACE, "--runlog", runs])
+        main([*TINY_TRACE, "--runlog", runs,
+              "--out", str(tmp_path / "t.json")])
         capsys.readouterr()
         rc = main(["monitor", "--runs", runs, "--list"])
         assert rc == 0
@@ -730,7 +733,8 @@ class TestMonitorCLI:
 class TestTraceRunlog:
     def test_engine_trace_writes_clean_runlog(self, tmp_path, capsys):
         runs = tmp_path / "runs"
-        rc = main([*TINY_TRACE, "--runlog", str(runs)])
+        rc = main([*TINY_TRACE, "--runlog", str(runs),
+                   "--out", str(tmp_path / "t.json")])
         assert rc == 0
         assert "run log:" in capsys.readouterr().out
         from repro.obs.monitor import run_monitor
@@ -744,7 +748,8 @@ class TestTraceRunlog:
 
     def test_sim_trace_writes_runlog(self, tmp_path, capsys):
         runs = tmp_path / "runs"
-        rc = main([*TINY_TRACE, "--mode", "sim", "--runlog", str(runs)])
+        rc = main([*TINY_TRACE, "--mode", "sim", "--runlog", str(runs),
+                   "--out", str(tmp_path / "t.json")])
         assert rc == 0
         from repro.obs.runlog import RunRegistry, manifest_of, read_events
 

@@ -40,6 +40,12 @@ from repro.verify import (
     schedule_to_json,
     validate_schedule,
 )
+from repro.verify.differential import (
+    loss_failures,
+    run_engine,
+    state_failures,
+    stream_failures,
+)
 
 
 def _swap_ops(schedule, rank, i, j):
@@ -307,3 +313,72 @@ class TestRunner:
         report = run_verification(fast=True, only="schedules")
         assert [s.name for s in report.sections] == ["schedules"]
         assert report.ok
+
+
+class TestDifferentialComparators:
+    """The core's comparators fail when they must: exact mode catches a
+    one-ulp change, tolerance mode catches anything above fp64 noise,
+    and the stream check catches a single wrong token."""
+
+    @staticmethod
+    def _state(seed=0):
+        rng = np.random.default_rng(seed)
+        return {"layer.w": rng.standard_normal((3, 4)),
+                "layer.b": rng.standard_normal(4)}
+
+    def test_one_ulp_fails_exact_passes_tolerance(self):
+        want = self._state()
+        got = {k: v.copy() for k, v in want.items()}
+        got["layer.w"][1, 2] = np.nextafter(got["layer.w"][1, 2], np.inf)
+        exact = state_failures(got, want, exact=True)
+        assert len(exact) == 1 and "layer.w" in exact[0]
+        assert state_failures(got, want, exact=False) == []
+
+        loss = 3.5
+        ulp_up = [loss, np.nextafter(loss, np.inf)]
+        assert loss_failures(ulp_up, [loss, loss], exact=True)
+        assert loss_failures(ulp_up, [loss, loss], exact=False) == []
+
+    def test_1e6_change_fails_both_modes(self):
+        want = self._state()
+        got = {k: v.copy() for k, v in want.items()}
+        got["layer.b"][0] += 1e-6
+        for exact in (True, False):
+            failures = state_failures(got, want, exact=exact)
+            assert len(failures) == 1 and "layer.b" in failures[0]
+            assert loss_failures([3.5 + 1e-6], [3.5], exact=exact)
+
+    def test_missing_and_extra_parameters(self):
+        want = self._state()
+        got = dict(want)
+        got["extra"] = got.pop("layer.b")
+        tolerant = state_failures(got, want, exact=False)
+        assert tolerant == ["state is missing parameter layer.b"]
+        assert len(state_failures(got, want, exact=True)) == 2
+
+    def test_tied_head_copy_skipped_only_when_tolerant(self):
+        want = {**self._state(), "head.tied": np.ones(3)}
+        got = self._state()
+        assert state_failures(got, want, exact=False) == []
+        assert state_failures(got, want, exact=True) == [
+            "state is missing parameter head.tied"
+        ]
+
+    def test_one_token_fails_stream_check(self):
+        from repro.nn.transformer import GPTModel
+        from repro.serve import TraceRequest
+
+        config = tiny_test_model()
+        model = GPTModel(config, seed=0)
+        trace = [TraceRequest("a", 0, (1, 2, 3), 4, seed=1),
+                 TraceRequest("b", 0, (4, 5), 3, seed=2)]
+        engine, _, _ = run_engine(model, trace, num_blocks=8, block_size=3)
+        assert stream_failures(model, trace, engine.outputs) == []
+
+        tampered = {rid: s.copy() for rid, s in engine.outputs.items()}
+        tampered["b"][-1] = (tampered["b"][-1] + 1) % config.vocab_size
+        failures = stream_failures(model, trace, tampered)
+        assert len(failures) == 1 and "for b " in failures[0]
+        # A request that did not complete has no full stream to compare.
+        assert stream_failures(model, trace, tampered,
+                               completed={"a"}) == []

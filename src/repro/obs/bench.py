@@ -11,8 +11,10 @@ perf trajectory instead of ad-hoc printouts.  This module provides:
 - **suite discovery** — the repo's ``benchmarks/bench_*.py`` pytest
   suites, executed as subprocess smoke runs and timed end-to-end;
 - **steady-state methodology** — every scenario runs ``warmup +
-  repeats`` times; warmup samples are trimmed, and the steady-state
-  samples are summarized by median, MAD, and a seeded-bootstrap
+  repeats`` times with the cyclic garbage collector paused (as
+  :mod:`timeit` does, so a full collection of garbage left by earlier
+  work never lands in one sample); warmup samples are trimmed, and the
+  steady-state samples are summarized by median, MAD, and a seeded-bootstrap
   confidence interval of the median (:class:`BenchStats`);
 - **BENCH_<label>.json** — a schema-versioned report
   (:class:`BenchReport`) stamped with an environment fingerprint
@@ -28,6 +30,7 @@ perf trajectory instead of ad-hoc printouts.  This module provides:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -788,6 +791,9 @@ def run_bench(
             continue
         say(f"bench {name} ({sc.kind}, {warmup}+{repeats} runs)")
         fn = sc.build(backend) if sc.backend_aware else sc.build()
+        gc_was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
         try:
             samples = []
             for _ in range(warmup + repeats):
@@ -795,6 +801,8 @@ def run_bench(
                 fn()
                 samples.append(time.perf_counter() - t0)
         finally:
+            if gc_was_enabled:
+                gc.enable()
             teardown = getattr(fn, "close", None)
             if teardown is not None:
                 teardown()

@@ -13,24 +13,19 @@ Three guards on the ``repro.comm.backend`` seam from ISSUE 7:
   does not), the d=4 macro workload must run >= 1.5x faster under mp
   than under coop — the headline speedup the PR's BENCH files record.
 
-Best-of-N timing keeps the assertions robust against scheduler noise.
+Every ratio is timed by :func:`repro.obs.bench.paired_ratio`.  The
+step guards keep one warmed trainer per backend alive across all pairs,
+so worker spawn stays outside the timer.
 """
 
 import os
-import time
 
 import numpy as np
 
 from repro.comm import TrafficLog
 from repro.comm.backend import get_backend
 from repro.comm.primitives import ring_all_reduce
-from repro.config import ParallelConfig, tiny_test_model
-from repro.parallel import PTDTrainer
-
-CFG = tiny_test_model(num_layers=4, hidden_size=32, num_attention_heads=4,
-                      vocab_size=64, seq_length=16)
-PAR_D2 = ParallelConfig(data_parallel_size=2, microbatch_size=1,
-                        global_batch_size=4)
+from repro.obs.bench import _d4_engine, _tiny_engine, paired_ratio
 
 
 def _usable_cores() -> int:
@@ -40,32 +35,17 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _batch(par, cfg=CFG, seed=0):
-    r = np.random.default_rng(seed)
-    shape = (par.global_batch_size, cfg.seq_length)
-    return (
-        r.integers(0, cfg.vocab_size, size=shape),
-        r.integers(0, cfg.vocab_size, size=shape),
-    )
+def _step_ratio(engine, base: str, variant: str, inner: int = 3):
+    """``variant``/``base`` backend time for ``inner`` train steps."""
+    _, _, base_trainer, ids, targets = engine(base)
+    _, _, variant_trainer, _, _ = engine(variant)
+    with base_trainer, variant_trainer:
+        def steps(trainer):
+            return lambda: [trainer.train_step(ids, targets)
+                            for _ in range(inner)]
 
-
-def _best_of(fn, repeats=5):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _step_time(backend: str, par=PAR_D2, cfg=CFG, repeats=5, inner=3) -> float:
-    ids, targets = _batch(par, cfg)
-    with PTDTrainer(cfg, par, backend=backend) as trainer:
-        trainer.train_step(ids, targets)  # warm caches / worker spawn
-        return _best_of(
-            lambda: [trainer.train_step(ids, targets) for _ in range(inner)],
-            repeats=repeats,
-        ) / inner
+        return paired_ratio(lambda: steps(base_trainer),
+                            lambda: steps(variant_trainer))
 
 
 def test_coop_dispatch_under_5_percent():
@@ -75,18 +55,16 @@ def test_coop_dispatch_under_5_percent():
     backend = get_backend("coop")
 
     def direct():
-        ring_all_reduce([b.copy() for b in bufs], ranks, TrafficLog())
+        for _ in range(20):
+            ring_all_reduce([b.copy() for b in bufs], ranks, TrafficLog())
 
     def routed():
-        backend.all_reduce([b.copy() for b in bufs], ranks, TrafficLog())
+        for _ in range(20):
+            backend.all_reduce([b.copy() for b in bufs], ranks, TrafficLog())
 
-    direct()  # warm
-    routed()
-    t_direct = _best_of(lambda: [direct() for _ in range(20)], repeats=7)
-    t_routed = _best_of(lambda: [routed() for _ in range(20)], repeats=7)
-    overhead = t_routed / t_direct - 1.0
-    print(f"\ndirect={t_direct*1e3:.2f}ms routed={t_routed*1e3:.2f}ms "
-          f"overhead={overhead*100:.2f}%")
+    ratio = paired_ratio(lambda: direct, lambda: routed)
+    overhead = ratio.median - 1.0
+    print(f"\nrouted/direct {ratio.ratio_summary()}")
     assert overhead < 0.05, (
         f"backend dispatch adds {overhead*100:.1f}% over calling the "
         "primitives directly, exceeding the 5% budget"
@@ -96,13 +74,12 @@ def test_coop_dispatch_under_5_percent():
 def test_mp_step_bounded_on_any_host():
     # Even time-slicing every worker on one core, the shm ring must
     # keep a d=2 step within 2x of the in-process oracle.
-    t_coop = _step_time("coop")
-    t_mp = _step_time("mp")
-    ratio = t_mp / t_coop
-    print(f"\ncoop={t_coop*1e3:.2f}ms mp={t_mp*1e3:.2f}ms ratio={ratio:.2f}x")
-    assert ratio < 2.0, (
-        f"mp step is {ratio:.2f}x the coop step; the shm ring or its "
-        "barriers regressed"
+    ratio = _step_ratio(lambda backend: _tiny_engine(1, 1, 2, backend),
+                        "coop", "mp")
+    print(f"\nmp/coop {ratio.ratio_summary()}")
+    assert ratio.median < 2.0, (
+        f"mp step is {ratio.median:.2f}x the coop step; the shm ring or "
+        "its barriers regressed"
     )
 
 
@@ -116,31 +93,9 @@ def test_mp_speedup_on_multicore():
         import pytest
         pytest.skip(f"only {cores} usable core(s); mp cannot beat coop "
                     "without parallel hardware")
-    cfg = tiny_test_model(num_layers=4, hidden_size=96,
-                          num_attention_heads=4, vocab_size=256,
-                          seq_length=64)
-    par = ParallelConfig(data_parallel_size=4, microbatch_size=2,
-                         global_batch_size=8)
-    t_coop = _step_time("coop", par, cfg)
-    t_mp = _step_time("mp", par, cfg)
-    speedup = t_coop / t_mp
-    print(f"\ncoop={t_coop*1e3:.2f}ms mp={t_mp*1e3:.2f}ms "
-          f"speedup={speedup:.2f}x on {cores} cores")
-    assert speedup >= 1.5, (
-        f"mp only reaches {speedup:.2f}x over coop on {cores} cores; "
-        "the d=4 workload should parallelize >= 1.5x"
+    speedup = _step_ratio(_d4_engine, "mp", "coop")
+    print(f"\ncoop/mp {speedup.ratio_summary()} on {cores} cores")
+    assert speedup.median >= 1.5, (
+        f"mp only reaches {speedup.median:.2f}x over coop on {cores} "
+        "cores; the d=4 workload should parallelize >= 1.5x"
     )
-
-
-def test_coop_step(benchmark):
-    ids, targets = _batch(PAR_D2)
-    with PTDTrainer(CFG, PAR_D2, backend="coop") as trainer:
-        trainer.train_step(ids, targets)
-        benchmark(trainer.train_step, ids, targets)
-
-
-def test_mp_step(benchmark):
-    ids, targets = _batch(PAR_D2)
-    with PTDTrainer(CFG, PAR_D2, backend="mp") as trainer:
-        trainer.train_step(ids, targets)
-        benchmark(trainer.train_step, ids, targets)

@@ -20,6 +20,7 @@ import tempfile
 import time
 
 from repro.config import ParallelConfig, tiny_test_model
+from repro.obs.bench import paired_ratio
 from repro.parallel import PTDTrainer
 from repro.parallel import checkpoint as cp
 
@@ -35,33 +36,30 @@ def _trainer():
     )
 
 
-def _median_save(trainer, *, atomic, repeats=9):
-    times = []
-    for _ in range(repeats):
-        root = tempfile.mkdtemp(prefix="bench-chaos-")
-        try:
-            t0 = time.perf_counter()
-            cp.save_checkpoint(trainer, os.path.join(root, "ckpt"),
-                               atomic=atomic)
-            times.append(time.perf_counter() - t0)
-        finally:
-            shutil.rmtree(root)
-    times.sort()
-    return times[len(times) // 2]
+def _save(trainer, path, *, atomic):
+    """Build one save of ``trainer`` into a fresh ``path``."""
+
+    def build():
+        shutil.rmtree(path, ignore_errors=True)
+        return lambda: cp.save_checkpoint(trainer, path, atomic=atomic)
+
+    return build
 
 
 def test_commit_protocol_overhead(benchmark, capsys, monkeypatch):
     """Staging + checksums + rename vs the legacy in-place writer."""
     trainer = _trainer()
-    legacy = _median_save(trainer, atomic=False)
+    with tempfile.TemporaryDirectory(prefix="bench-chaos-") as root:
+        legacy = _save(trainer, os.path.join(root, "legacy"), atomic=False)
+        atomic = _save(trainer, os.path.join(root, "atomic"), atomic=True)
 
-    # The protocol alone: durability fsyncs disabled so both writers
-    # leave the data in the page cache and the diff is pure protocol.
-    monkeypatch.setattr(cp, "_fsync_file", lambda path: None)
-    monkeypatch.setattr(cp, "_fsync_dir", lambda path: None)
-    protocol = _median_save(trainer, atomic=True)
-    monkeypatch.undo()
-    durable = _median_save(trainer, atomic=True)
+        # The protocol alone: durability fsyncs disabled so both writers
+        # leave the data in the page cache and the diff is pure protocol.
+        monkeypatch.setattr(cp, "_fsync_file", lambda path: None)
+        monkeypatch.setattr(cp, "_fsync_dir", lambda path: None)
+        protocol = paired_ratio(legacy, atomic)
+        monkeypatch.undo()
+        durable = paired_ratio(legacy, atomic)
 
     def run():
         root = tempfile.mkdtemp(prefix="bench-chaos-")
@@ -73,19 +71,18 @@ def test_commit_protocol_overhead(benchmark, capsys, monkeypatch):
     meta = benchmark(run)
     assert meta["format_version"] == 2
 
-    protocol_overhead = protocol / legacy - 1.0
-    durable_overhead = durable / legacy - 1.0
+    protocol_overhead = protocol.median - 1.0
+    durable_overhead = durable.median - 1.0
     benchmark.extra_info["protocol_overhead_pct"] = round(
         100 * protocol_overhead, 2)
     benchmark.extra_info["durable_overhead_pct"] = round(
         100 * durable_overhead, 2)
     with capsys.disabled():
         print()
-        print(f"legacy writer            {legacy * 1e3:7.1f} ms")
-        print(f"atomic, fsyncs disabled  {protocol * 1e3:7.1f} ms  "
-              f"({100 * protocol_overhead:+.1f}% = commit protocol)")
-        print(f"atomic, durable          {durable * 1e3:7.1f} ms  "
-              f"({100 * durable_overhead:+.1f}% = protocol + fsyncs)")
+        print(f"atomic/legacy, fsyncs disabled  {protocol.ratio_summary()}"
+              "  (commit protocol)")
+        print(f"atomic/legacy, durable          {durable.ratio_summary()}"
+              "  (protocol + fsyncs)")
     # The headline bound: the commit protocol costs < 10%.
     assert protocol_overhead < 0.10
 

@@ -1,98 +1,46 @@
-"""Run logging must be (near) free: <5% iteration-time overhead when
-a run logger is active, and unmeasurable when off.
+"""Run logging must be (near) free: <5% iteration-time overhead when a
+run logger is active.
 
 The mission-control contract from ISSUE 7, the runlog twin of
-``bench_trace_overhead.py``:
+``bench_trace_overhead.py``: ``repro.obs.runlog`` **active** vs. the
+bare baseline — the per-iteration heartbeat + iteration record (JSON
+encode, write, flush) plus the per-replica busy-time clocks must
+together cost less than 5% of iteration time.  When inactive, the
+dormant hook is one ``current_run_logger()`` truthiness check per
+``train_step``, so the bare arm is the dormant path.
 
-- ``repro.obs.runlog`` **active** vs. the bare baseline — the
-  per-iteration heartbeat + iteration record (JSON encode, write,
-  flush) plus the per-replica busy-time clocks must together cost less
-  than 5% of iteration time;
-- run logging **inactive** — the dormant hook (one
-  ``current_run_logger()`` truthiness check per ``train_step``) must
-  be indistinguishable from the baseline.
-
-Best-of-N timing keeps the assertion robust against scheduler noise;
-the pytest-benchmark fixtures report the full distributions alongside.
+Each arm is one ``train_step`` on a fresh trainer (so cached eq. (3)
+FLOPs never carry across measurements), timed by
+:func:`repro.obs.bench.paired_ratio`.
 """
 
 import io
-import time
 
-import numpy as np
-
-from repro.config import ParallelConfig, tiny_test_model
+from repro.obs.bench import _tiny_engine, paired_ratio
 from repro.obs.runlog import RunLogger, run_logging
-from repro.parallel import PTDTrainer
-
-CFG = tiny_test_model(num_layers=4, hidden_size=32, num_attention_heads=4,
-                      vocab_size=64, seq_length=16)
-PAR = ParallelConfig(
-    pipeline_parallel_size=2,
-    tensor_parallel_size=1,
-    data_parallel_size=2,
-    microbatch_size=1,
-    global_batch_size=4,
-)
 
 
-def _batch(seed=0):
-    r = np.random.default_rng(seed)
-    shape = (PAR.global_batch_size, CFG.seq_length)
-    return (
-        r.integers(0, CFG.vocab_size, size=shape),
-        r.integers(0, CFG.vocab_size, size=shape),
-    )
+def _unlogged():
+    _, _, trainer, ids, targets = _tiny_engine()
+    return lambda: trainer.train_step(ids, targets)
 
 
-def _iteration_time(logged: bool, repeats: int = 5) -> float:
-    """Best-of-N wall time of one train_step (fresh trainer per run so
-    cached eq. (3) FLOPs never carry across measurements)."""
-    ids, targets = _batch()
-    best = float("inf")
-    for _ in range(repeats):
-        trainer = PTDTrainer(CFG, PAR)
-        if logged:
-            logger = RunLogger(io.StringIO(), "bench")
-            logger.start("engine")
-            with run_logging(logger):
-                t0 = time.perf_counter()
-                trainer.train_step(ids, targets)
-                elapsed = time.perf_counter() - t0
-        else:
-            t0 = time.perf_counter()
-            trainer.train_step(ids, targets)
-            elapsed = time.perf_counter() - t0
-        best = min(best, elapsed)
-    return best
-
-
-def test_runlog_overhead_under_5_percent():
-    _iteration_time(logged=False, repeats=1)  # warm up caches
-    baseline = _iteration_time(logged=False)
-    logged = _iteration_time(logged=True)
-    overhead = logged / baseline - 1.0
-    print(f"\nbaseline={baseline*1e3:.2f}ms logged={logged*1e3:.2f}ms "
-          f"overhead={overhead*100:+.2f}%")
-    assert overhead < 0.05, (
-        f"run-logging overhead {overhead*100:.1f}% exceeds the 5% budget"
-    )
-
-
-def test_unlogged_iteration(benchmark):
-    ids, targets = _batch()
-    trainer = PTDTrainer(CFG, PAR)
-    benchmark(trainer.train_step, ids, targets)
-
-
-def test_logged_iteration(benchmark):
-    ids, targets = _batch()
+def _logged():
+    _, _, trainer, ids, targets = _tiny_engine()
+    logger = RunLogger(io.StringIO(), "bench")
+    logger.start("engine")
 
     def step():
-        trainer = PTDTrainer(CFG, PAR)
-        logger = RunLogger(io.StringIO(), "bench")
-        logger.start("engine")
         with run_logging(logger):
             trainer.train_step(ids, targets)
 
-    benchmark(step)
+    return step
+
+
+def test_runlog_overhead_under_5_percent():
+    ratio = paired_ratio(_unlogged, _logged)
+    overhead = ratio.median - 1.0
+    print(f"\nlogged/unlogged {ratio.ratio_summary()}")
+    assert overhead < 0.05, (
+        f"run-logging overhead {overhead*100:.1f}% exceeds the 5% budget"
+    )

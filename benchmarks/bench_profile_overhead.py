@@ -1,100 +1,44 @@
 """The profiler must be (near) free: post-processing a trace into
 self/total attribution and folded stacks costs <5% of the traced
-iteration itself, and the telemetry hooks are inert without a tracer.
+iteration itself.
 
-Three comparisons on a tiny PTD iteration (the observatory contract
-from ISSUE 6, the post-processing twin of ``bench_trace_overhead.py``):
+The observatory contract, the post-processing twin of
+``bench_trace_overhead.py``: ``profile_tracer`` + ``folded_stacks``
+over a full iteration trace vs. the traced iteration's own wall time —
+analysis must stay a rounding error next to the work it analyses.  The
+untraced-step half of that contract (telemetry hooks stay inert without
+a tracer) is a tier-1 test in ``tests/test_ptd_trainer.py``.
 
-- ``profile_tracer`` + ``folded_stacks`` over a full iteration trace
-  vs. the iteration's own wall time — analysis must stay a rounding
-  error next to the work it analyses;
-- the throughput/memory telemetry added to ``train_step`` runs only
-  under an active tracer — untraced iterations must not pay for it;
-- pytest-benchmark fixtures report the full post-processing
-  distributions alongside.
-
-Best-of-N timing keeps the assertions robust against scheduler noise.
+Both arms are timed by :func:`repro.obs.bench.paired_ratio`; the
+post-processing arm re-analyses one captured iteration trace.
 """
 
-import time
-
-import numpy as np
-
-from repro.config import ParallelConfig, tiny_test_model
 from repro.obs import trace
+from repro.obs.bench import _tiny_engine, paired_ratio
 from repro.obs.profile import folded_stacks, profile_tracer
-from repro.parallel import PTDTrainer
-
-CFG = tiny_test_model(num_layers=4, hidden_size=32, num_attention_heads=4,
-                      vocab_size=64, seq_length=16)
-PAR = ParallelConfig(
-    pipeline_parallel_size=2,
-    tensor_parallel_size=1,
-    data_parallel_size=2,
-    microbatch_size=1,
-    global_batch_size=4,
-)
 
 
-def _batch(seed=0):
-    r = np.random.default_rng(seed)
-    shape = (PAR.global_batch_size, CFG.seq_length)
-    return (
-        r.integers(0, CFG.vocab_size, size=shape),
-        r.integers(0, CFG.vocab_size, size=shape),
-    )
+def _traced_iteration():
+    _, _, trainer, ids, targets = _tiny_engine()
 
-
-def _traced_iteration(repeats: int = 5):
-    """Best-of-N traced iteration time plus one captured tracer."""
-    ids, targets = _batch()
-    best = float("inf")
-    tracer = None
-    for _ in range(repeats):
-        trainer = PTDTrainer(CFG, PAR)
-        with trace() as t:
-            t0 = time.perf_counter()
+    def step():
+        with trace():
             trainer.train_step(ids, targets)
-            elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best, tracer = elapsed, t
-    return best, tracer
+
+    return step
 
 
 def test_profiler_postprocess_under_5_percent():
-    _traced_iteration(repeats=1)  # warm caches
-    iteration, tracer = _traced_iteration()
-    best = float("inf")
-    for _ in range(5):
-        t0 = time.perf_counter()
+    _, _, trainer, ids, targets = _tiny_engine()
+    with trace() as tracer:
+        trainer.train_step(ids, targets)
+
+    def postprocess():
         folded_stacks(profile_tracer(tracer))
-        best = min(best, time.perf_counter() - t0)
-    overhead = best / iteration
-    print(f"\niteration={iteration*1e3:.2f}ms profile={best*1e3:.2f}ms "
-          f"ratio={overhead*100:.2f}%")
-    assert overhead < 0.05, (
-        f"profiler post-processing is {overhead*100:.1f}% of iteration "
+
+    ratio = paired_ratio(_traced_iteration, lambda: postprocess)
+    print(f"\npostprocess/iteration {ratio.ratio_summary()}")
+    assert ratio.median < 0.05, (
+        f"profiler post-processing is {ratio.median*100:.1f}% of iteration "
         "time, exceeding the 5% budget"
     )
-
-
-def test_untraced_step_emits_no_telemetry():
-    # The telemetry hook must be a single tracer check when tracing is
-    # off: no spans, no samples, no metrics registries allocated.
-    ids, targets = _batch()
-    trainer = PTDTrainer(CFG, PAR)
-    trainer.train_step(ids, targets)  # would raise inside obs if active
-    with trace() as t:
-        pass
-    assert not t.spans and not t.samples
-
-
-def test_profile_postprocess(benchmark):
-    _, tracer = _traced_iteration(repeats=1)
-    benchmark(profile_tracer, tracer)
-
-
-def test_folded_stacks(benchmark):
-    _, tracer = _traced_iteration(repeats=1)
-    report = profile_tracer(tracer)
-    benchmark(folded_stacks, report)

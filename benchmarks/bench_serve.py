@@ -13,79 +13,43 @@ The ISSUE 9 guards, the serving twin of ``bench_monitor_overhead.py``:
 - **TTFT/throughput report** — the trace run must produce a
   schema-valid SLO report (printed for the record).
 
-Best-of-N timing keeps the assertions robust against scheduler noise;
-pytest-benchmark fixtures report full distributions alongside.
+Both ratios are timed by :func:`repro.obs.bench.paired_ratio`; the
+decode arms are the ``serve.decode.*`` bench-registry scenarios.
 """
 
 import io
-import time
 
-import numpy as np
-
-from repro.config import tiny_test_model
-from repro.nn import GPTModel, generate
+from repro.obs.bench import SCENARIOS, _serve_decode_workload, paired_ratio
 from repro.obs.runlog import RunLogger
 from repro.serve import (
     PagedKVCache,
     ServeEngine,
-    cached_generate,
     poisson_trace,
     validate_serve_metrics,
 )
 
-# A window long enough (64) that O(n) vs O(n^2) attention shows up.
-CFG = tiny_test_model(num_layers=2, hidden_size=32, num_attention_heads=4,
-                      vocab_size=128, seq_length=64)
-NEW_TOKENS = 48
-
-
-def _model():
-    return GPTModel(CFG, seed=0)
-
-
-def _prompt():
-    return np.random.default_rng(1).integers(0, CFG.vocab_size, size=8)
-
-
-def _decode_time(cached: bool, repeats: int = 5) -> float:
-    model, prompt = _model(), _prompt()
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        if cached:
-            cached_generate(model, prompt, NEW_TOKENS, temperature=0.0,
-                            block_size=8)
-        else:
-            generate(model, prompt, NEW_TOKENS, temperature=0.0)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
 
 def test_cached_decode_at_least_1_5x_faster():
-    _decode_time(cached=True, repeats=1)  # warm up caches
-    recompute = _decode_time(cached=False)
-    cached = _decode_time(cached=True)
-    speedup = recompute / cached
-    print(f"\nrecompute={recompute*1e3:.1f}ms cached={cached*1e3:.1f}ms "
-          f"speedup={speedup:.2f}x "
-          f"({NEW_TOKENS/cached:.0f} vs {NEW_TOKENS/recompute:.0f} tok/s)")
-    assert speedup > 1.5, (
-        f"paged KV cache speedup {speedup:.2f}x below the 1.5x floor"
+    speedup = paired_ratio(SCENARIOS["serve.decode.cached"].build,
+                           SCENARIOS["serve.decode.recompute"].build)
+    print(f"\nrecompute/cached {speedup.ratio_summary()}")
+    assert speedup.median > 1.5, (
+        f"paged KV cache speedup {speedup.median:.2f}x below the 1.5x floor"
     )
 
 
 # -- engine + metrics overhead ----------------------------------------------
 
-def _trace():
-    return poisson_trace(6, 0.7, vocab_size=CFG.vocab_size, seed=2,
-                         prompt_len=(4, 8), max_new=(8, 16),
-                         temperature=1.0, top_k=5)
+def _model_and_trace():
+    model, _ = _serve_decode_workload()
+    trace = poisson_trace(6, 0.7, vocab_size=model.config.vocab_size,
+                          seed=2, prompt_len=(4, 8), max_new=(8, 16),
+                          temperature=1.0, top_k=5)
+    return model, trace
 
 
-def _engine_time(logged: bool, repeats: int = 5) -> float:
-    model, trace = _model(), _trace()
-    best = float("inf")
-    for _ in range(repeats):
+def _engine_run(model, trace, logged: bool):
+    def build():
         cache = PagedKVCache.for_model(model, num_blocks=16, block_size=4)
         if logged:
             logger = RunLogger(io.StringIO(), "bench")
@@ -93,27 +57,29 @@ def _engine_time(logged: bool, repeats: int = 5) -> float:
             engine = ServeEngine(model, cache, logger=logger)
         else:
             engine = ServeEngine(model, cache)
-        t0 = time.perf_counter()
-        engine.run(trace)
-        best = min(best, time.perf_counter() - t0)
-        cache.assert_empty()
-    return best
+
+        def run():
+            engine.run(trace)
+            cache.assert_empty()
+
+        return run
+
+    return build
 
 
 def test_serve_metrics_overhead_under_5_percent():
-    _engine_time(logged=False, repeats=1)  # warm up caches
-    baseline = _engine_time(logged=False)
-    logged = _engine_time(logged=True)
-    overhead = logged / baseline - 1.0
-    print(f"\nbaseline={baseline*1e3:.1f}ms logged={logged*1e3:.1f}ms "
-          f"overhead={overhead*100:+.2f}%")
+    model, trace = _model_and_trace()
+    ratio = paired_ratio(_engine_run(model, trace, logged=False),
+                         _engine_run(model, trace, logged=True))
+    overhead = ratio.median - 1.0
+    print(f"\nlogged/unlogged {ratio.ratio_summary()}")
     assert overhead < 0.05, (
         f"serve-metrics overhead {overhead*100:.1f}% exceeds the 5% budget"
     )
 
 
 def test_trace_run_reports_valid_slos():
-    model, trace = _model(), _trace()
+    model, trace = _model_and_trace()
     cache = PagedKVCache.for_model(model, num_blocks=16, block_size=4)
     report = ServeEngine(model, cache).run(trace)
     cache.assert_empty()
@@ -125,27 +91,3 @@ def test_trace_run_reports_valid_slos():
           f"throughput={agg['tokens_per_s']:.0f} tok/s")
     assert agg["total_generated_tokens"] == sum(
         r.max_new_tokens for r in trace)  # no stop_ids: all run to length
-
-
-# -- pytest-benchmark distributions -----------------------------------------
-
-def test_cached_decode(benchmark):
-    model, prompt = _model(), _prompt()
-    benchmark(cached_generate, model, prompt, NEW_TOKENS,
-              temperature=0.0, block_size=8)
-
-
-def test_recompute_decode(benchmark):
-    model, prompt = _model(), _prompt()
-    benchmark(generate, model, prompt, NEW_TOKENS, temperature=0.0)
-
-
-def test_engine_trace(benchmark):
-    model, trace = _model(), _trace()
-
-    def run():
-        cache = PagedKVCache.for_model(model, num_blocks=16, block_size=4)
-        ServeEngine(model, cache).run(trace)
-        cache.assert_empty()
-
-    benchmark(run)

@@ -1,92 +1,39 @@
-"""Tracing must be (near) free: <5% iteration-time overhead when on,
-and unmeasurable when off.
+"""Tracing must be (near) free: <5% iteration-time overhead when on.
 
-Two comparisons on a tiny PTD iteration (the observability contract
-from ISSUE 1):
+``repro.obs`` tracing **enabled** vs. the untraced baseline on a tiny
+PTD iteration (the observability contract): the span bookkeeping,
+byte attribution, and FLOP adapter together must cost less than 5% of
+iteration time.  When tracing is off, every hook is one
+empty-list check, so the untraced arm is the dormant path.
 
-- ``repro.obs`` tracing **enabled** vs. the untraced baseline — the
-  span bookkeeping, byte attribution, and FLOP adapter together must
-  cost less than 5% of iteration time;
-- tracing **disabled** — the dormant hooks (one empty-list check per
-  instrumented site) must be indistinguishable from the baseline.
-
-Best-of-N timing is used for the assertion to keep it robust against
-scheduler noise; the pytest-benchmark fixtures report the full
-distributions alongside.
+Each arm is one ``train_step`` on a fresh trainer (so tracer span lists
+never accumulate across measurements), timed by
+:func:`repro.obs.bench.paired_ratio`.
 """
 
-import time
-
-import numpy as np
-
-from repro.config import ParallelConfig, tiny_test_model
 from repro.obs import trace
-from repro.parallel import PTDTrainer
-
-CFG = tiny_test_model(num_layers=4, hidden_size=32, num_attention_heads=4,
-                      vocab_size=64, seq_length=16)
-PAR = ParallelConfig(
-    pipeline_parallel_size=2,
-    tensor_parallel_size=1,
-    data_parallel_size=2,
-    microbatch_size=1,
-    global_batch_size=4,
-)
+from repro.obs.bench import _tiny_engine, paired_ratio
 
 
-def _batch(seed=0):
-    r = np.random.default_rng(seed)
-    shape = (PAR.global_batch_size, CFG.seq_length)
-    return (
-        r.integers(0, CFG.vocab_size, size=shape),
-        r.integers(0, CFG.vocab_size, size=shape),
-    )
+def _untraced():
+    _, _, trainer, ids, targets = _tiny_engine()
+    return lambda: trainer.train_step(ids, targets)
 
 
-def _iteration_time(traced: bool, repeats: int = 5) -> float:
-    """Best-of-N wall time of one train_step (fresh trainer per run so
-    tracer span lists never accumulate across measurements)."""
-    ids, targets = _batch()
-    best = float("inf")
-    for _ in range(repeats):
-        trainer = PTDTrainer(CFG, PAR)
-        if traced:
-            with trace() as _tracer:
-                t0 = time.perf_counter()
-                trainer.train_step(ids, targets)
-                elapsed = time.perf_counter() - t0
-        else:
-            t0 = time.perf_counter()
-            trainer.train_step(ids, targets)
-            elapsed = time.perf_counter() - t0
-        best = min(best, elapsed)
-    return best
-
-
-def test_tracing_overhead_under_5_percent():
-    _iteration_time(traced=False, repeats=1)  # warm up caches/JIT-free numpy
-    baseline = _iteration_time(traced=False)
-    traced = _iteration_time(traced=True)
-    overhead = traced / baseline - 1.0
-    print(f"\nbaseline={baseline*1e3:.2f}ms traced={traced*1e3:.2f}ms "
-          f"overhead={overhead*100:+.2f}%")
-    assert overhead < 0.05, (
-        f"tracing overhead {overhead*100:.1f}% exceeds the 5% budget"
-    )
-
-
-def test_untraced_iteration(benchmark):
-    ids, targets = _batch()
-    trainer = PTDTrainer(CFG, PAR)
-    benchmark(trainer.train_step, ids, targets)
-
-
-def test_traced_iteration(benchmark):
-    ids, targets = _batch()
+def _traced():
+    _, _, trainer, ids, targets = _tiny_engine()
 
     def step():
-        trainer = PTDTrainer(CFG, PAR)
         with trace():
             trainer.train_step(ids, targets)
 
-    benchmark(step)
+    return step
+
+
+def test_tracing_overhead_under_5_percent():
+    ratio = paired_ratio(_untraced, _traced)
+    overhead = ratio.median - 1.0
+    print(f"\ntraced/untraced {ratio.ratio_summary()}")
+    assert overhead < 0.05, (
+        f"tracing overhead {overhead*100:.1f}% exceeds the 5% budget"
+    )

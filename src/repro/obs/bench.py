@@ -20,6 +20,11 @@ perf trajectory instead of ad-hoc printouts.  This module provides:
   (:class:`BenchReport`) stamped with an environment fingerprint
   (python/numpy versions, git SHA, CPU), the repo's perf-trajectory
   format;
+- **paired A/B ratios** — :func:`paired_ratio` times a base and a
+  variant in :data:`PAIRS` interleaved pairs (arm order alternating,
+  GC paused) and summarizes the per-pair variant/base ratios by their
+  median and seeded-bootstrap CI; every overhead and speedup gate in
+  ``benchmarks/`` asserts on that median;
 - **noise-aware regression gating** — :func:`compare_reports` flags a
   scenario only when the new CI clears the old CI *and* a relative
   floor, so re-running the same config passes while a real 2x
@@ -30,6 +35,7 @@ perf trajectory instead of ad-hoc printouts.  This module provides:
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import os
@@ -120,6 +126,11 @@ class BenchStats:
             ci_low=ci_low,
             ci_high=ci_high,
         )
+
+    def ratio_summary(self) -> str:
+        """One-line reading of a :func:`paired_ratio` result."""
+        return (f"{self.median:.3f}x (95% CI {self.ci_low:.3f}-"
+                f"{self.ci_high:.3f}, {len(self.samples)} pairs)")
 
     def as_dict(self) -> dict:
         return {
@@ -361,10 +372,10 @@ def register(name: str, kind: str = "micro", fast: bool = True,
     return deco
 
 
-def _tiny_engine(p: int = 2, t: int = 1, d: int = 2,
-                 backend: str = "coop"):
+def _tiny_shapes(p: int = 2, t: int = 1, d: int = 2):
+    """The tiny engine workload: also what the tracing, run-logging,
+    profiler and mp/coop step guards in ``benchmarks/`` time."""
     from repro.config import ParallelConfig, tiny_test_model
-    from repro.parallel import PTDTrainer
 
     config = tiny_test_model(num_layers=4, hidden_size=32,
                              num_attention_heads=4, vocab_size=64,
@@ -376,6 +387,13 @@ def _tiny_engine(p: int = 2, t: int = 1, d: int = 2,
         microbatch_size=1,
         global_batch_size=4,
     )
+    return config, parallel
+
+
+def _engine(config, parallel, backend: str):
+    """A trainer on ``(config, parallel)`` plus one seeded global batch."""
+    from repro.parallel import PTDTrainer
+
     rng = np.random.default_rng(0)
     shape = (parallel.global_batch_size, config.seq_length)
     ids = rng.integers(0, config.vocab_size, size=shape)
@@ -384,12 +402,17 @@ def _tiny_engine(p: int = 2, t: int = 1, d: int = 2,
     return config, parallel, trainer, ids, targets
 
 
-def _engine_derive(p: int, t: int, d: int):
+def _tiny_engine(p: int = 2, t: int = 1, d: int = 2,
+                 backend: str = "coop"):
+    return _engine(*_tiny_shapes(p, t, d), backend)
+
+
+def _engine_derive(shapes: Callable[[], tuple]):
     def derive(seconds: float) -> dict[str, float]:
         from repro.hardware import a100_80gb
         from repro.obs.telemetry import throughput_report
 
-        config, parallel, _, _, _ = _tiny_engine(p, t, d)
+        config, parallel = shapes()
         rep = throughput_report(config, parallel, seconds,
                                 peak_flops=a100_80gb().peak_flops)
         return {
@@ -401,7 +424,8 @@ def _engine_derive(p: int, t: int, d: int):
 
 
 @register("engine.train_step.p2d2", kind="macro",
-          derive=_engine_derive(2, 1, 2), backend_aware=True)
+          derive=_engine_derive(lambda: _tiny_shapes(2, 1, 2)),
+          backend_aware=True)
 def _bench_engine_p2d2(backend: str = "coop"):
     _, _, trainer, ids, targets = _tiny_engine(2, 1, 2, backend)
 
@@ -413,7 +437,8 @@ def _bench_engine_p2d2(backend: str = "coop"):
 
 
 @register("engine.train_step.t2d2", kind="macro",
-          derive=_engine_derive(1, 2, 2), backend_aware=True)
+          derive=_engine_derive(lambda: _tiny_shapes(1, 2, 2)),
+          backend_aware=True)
 def _bench_engine_t2d2(backend: str = "coop"):
     _, _, trainer, ids, targets = _tiny_engine(1, 2, 2, backend)
 
@@ -444,32 +469,11 @@ def _d4_engine(backend: str):
     """The cross-backend speedup workload: d=4 replicas of a model big
     enough that replica compute dominates shared-memory IPC, so the mp
     backend's real OS-process parallelism shows up as wall-clock."""
-    from repro.parallel import PTDTrainer
-
-    config, parallel = _d4_shapes()
-    rng = np.random.default_rng(0)
-    shape = (parallel.global_batch_size, config.seq_length)
-    ids = rng.integers(0, config.vocab_size, size=shape)
-    targets = rng.integers(0, config.vocab_size, size=shape)
-    trainer = PTDTrainer(config, parallel, backend=backend)
-    return config, parallel, trainer, ids, targets
-
-
-def _d4_derive(seconds: float) -> dict[str, float]:
-    from repro.hardware import a100_80gb
-    from repro.obs.telemetry import throughput_report
-
-    config, parallel = _d4_shapes()
-    rep = throughput_report(config, parallel, seconds,
-                            peak_flops=a100_80gb().peak_flops)
-    return {
-        "tokens_per_s": rep.tokens_per_second,
-        "tflops_per_gpu": rep.tflops_per_gpu,
-    }
+    return _engine(*_d4_shapes(), backend)
 
 
 @register("engine.train_step.d4", kind="macro", fast=False,
-          derive=_d4_derive, backend_aware=True)
+          derive=_engine_derive(_d4_shapes), backend_aware=True)
 def _bench_engine_d4(backend: str = "coop"):
     _, _, trainer, ids, targets = _d4_engine(backend)
 
@@ -750,6 +754,21 @@ def run_suite(path: Path) -> BenchRecord:
 # runner
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Collect once, then keep the cyclic GC off (as :mod:`timeit`
+    does), so a full collection of garbage left by earlier work never
+    lands in one timed sample.  Restores the previous GC state."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def run_bench(
     *,
     fast: bool = False,
@@ -791,18 +810,14 @@ def run_bench(
             continue
         say(f"bench {name} ({sc.kind}, {warmup}+{repeats} runs)")
         fn = sc.build(backend) if sc.backend_aware else sc.build()
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
         try:
-            samples = []
-            for _ in range(warmup + repeats):
-                t0 = time.perf_counter()
-                fn()
-                samples.append(time.perf_counter() - t0)
+            with _gc_paused():
+                samples = []
+                for _ in range(warmup + repeats):
+                    t0 = time.perf_counter()
+                    fn()
+                    samples.append(time.perf_counter() - t0)
         finally:
-            if gc_was_enabled:
-                gc.enable()
             teardown = getattr(fn, "close", None)
             if teardown is not None:
                 teardown()
@@ -826,6 +841,42 @@ def run_bench(
         records=tuple(records),
         created_unix=time.time(),
     )
+
+
+#: Interleaved A/B pairs behind every :func:`paired_ratio` reading (odd,
+#: so the median is one observed ratio).
+PAIRS = 31
+
+
+def paired_ratio(build_base: Callable[[], Callable[[], object]],
+                 build_variant: Callable[[], Callable[[], object]],
+                 ) -> BenchStats:
+    """Per-pair variant/base time ratio over :data:`PAIRS` A/B pairs.
+
+    Each pair calls both builds outside the timer, then times one call
+    of each returned callable, alternating which arm runs first so a
+    first-runner bias cancels.  The two timings of a pair run
+    back-to-back, so machine-wide load that shifts on a scale longer
+    than one pair inflates both and cancels in the ratio; the median
+    discards bursts that hit one arm.  One leading pair warms caches
+    and is dropped.  The cyclic GC stays paused throughout
+    (:func:`_gc_paused`).
+
+    Returns :class:`BenchStats` whose samples are the ratios (not
+    seconds): ``median`` is the point estimate gates assert on,
+    ``ci_low``/``ci_high`` its seeded-bootstrap 95% CI.
+    """
+    ratios = []
+    with _gc_paused():
+        for i in range(PAIRS + 1):
+            arms = (build_base(), build_variant())
+            seconds = [0.0, 0.0]
+            for arm in ((0, 1) if i % 2 == 0 else (1, 0)):
+                t0 = time.perf_counter()
+                arms[arm]()
+                seconds[arm] = time.perf_counter() - t0
+            ratios.append(seconds[1] / seconds[0])
+    return BenchStats.from_samples(ratios, warmup=1)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ is that substrate for the reproduction:
   discrete-event simulator, and the chaos harness emit events; when no
   logger is active every hook is one truthiness check, so the hot path
   stays inside the tracing overhead budget
-  (``benchmarks/bench_monitor_overhead.py``).
+  (``benchmarks/bench_monitor_overhead.py``; estimator and readings:
+  README, "Overhead and speedup guards").
 
 - :class:`RunRegistry` — a ``runs/`` directory of per-run folders with
   a ``LATEST`` pointer advanced by atomic write-then-rename (the

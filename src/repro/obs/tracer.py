@@ -7,7 +7,9 @@ work, each collective in :mod:`repro.comm.primitives`, the trainer's
 iteration phases, the discrete-event simulator's timed ops — emit
 :class:`Span` records into it.  When no tracer is active every hook is
 a single ``if`` on an empty list, so the instrumented hot paths stay
-effectively free (see ``benchmarks/bench_trace_overhead.py``).
+effectively free.  ``benchmarks/bench_trace_overhead.py`` measures
+the cost with tracing *on* (estimator and readings: README, "Overhead
+and speedup guards").
 
 A span carries ``(rank, phase, name, start, end)`` plus attached
 counters (``bytes``, ``flops``, ``stage``, ...).  Ranks are *virtual

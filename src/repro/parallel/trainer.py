@@ -369,7 +369,8 @@ class PTDTrainer:
         replicas are the concurrently-schedulable units here).  Only
         runs when a run logger is active; the bare hot path pays a
         single ``current_run_logger()`` check
-        (``benchmarks/bench_monitor_overhead.py``).
+        (``benchmarks/bench_monitor_overhead.py``; estimator and
+        readings: README, "Overhead and speedup guards").
         """
         from repro.hardware import a100_80gb
 

@@ -4,16 +4,22 @@ Covers the steady-state statistics (warmup trimming, median/MAD,
 seeded bootstrap CIs), the schema-versioned BENCH_*.json round trip,
 the scenario registry, suite discovery, and the headline guarantee:
 the noise-aware regression gate fires on an injected 2x slowdown and
-stays quiet on noise-level jitter.
+stays quiet on noise-level jitter; and the paired A/B ratio behind every
+overhead and speedup gate in ``benchmarks/``.
 """
 
+import gc
 import json
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.obs import bench
 from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
+    PAIRS,
     BenchRecord,
     BenchReport,
     BenchStats,
@@ -23,6 +29,7 @@ from repro.obs.bench import (
     compare_reports,
     discover_suites,
     load_report,
+    paired_ratio,
     run_bench,
     write_report,
 )
@@ -210,6 +217,56 @@ class TestRunner:
     def test_bad_repeats_raises(self):
         with pytest.raises(ValueError, match="repeats"):
             run_bench(repeats=0)
+
+
+class TestPairedRatio:
+    @staticmethod
+    def _sleeper(seconds):
+        return lambda: lambda: time.sleep(seconds)
+
+    def test_a_a_ci_contains_one(self, monkeypatch):
+        # A seeded fake clock: each call of either arm takes 1 ms with 5%
+        # lognormal jitter, so the A/A reading is reproducible.  (On a
+        # real clock a 95% CI misses the truth 1 time in 20 by design.)
+        rng = np.random.default_rng(0)
+        now = [0.0]
+        monkeypatch.setattr(bench, "time",
+                            SimpleNamespace(perf_counter=lambda: now[0]))
+
+        def arm():
+            def call():
+                now[0] += 1e-3 * rng.lognormal(0.0, 0.05)
+
+            return call
+
+        r = paired_ratio(arm, arm)
+        assert len(r.samples) == PAIRS
+        assert r.ci_low < 1.0 < r.ci_high
+
+    def test_twice_as_slow_reads_about_two(self):
+        r = paired_ratio(self._sleeper(0.005), self._sleeper(0.010))
+        assert 1.6 <= r.median <= 2.4
+
+    def test_arm_order_alternates(self):
+        calls = []
+
+        def arm(name):
+            return lambda: lambda: calls.append(name)
+
+        paired_ratio(arm("base"), arm("variant"))
+        pairs = [tuple(calls[i:i + 2]) for i in range(0, len(calls), 2)]
+        assert len(pairs) == PAIRS + 1  # one warmup pair
+        assert pairs[0::2] == [("base", "variant")] * len(pairs[0::2])
+        assert pairs[1::2] == [("variant", "base")] * len(pairs[1::2])
+
+    def test_gc_restored_and_error_propagates(self):
+        def boom():
+            raise RuntimeError("timed callable failed")
+
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="timed callable failed"):
+            paired_ratio(lambda: lambda: None, lambda: boom)
+        assert gc.isenabled()
 
 
 class TestMetricsOut:

@@ -171,3 +171,16 @@ class TestDataParallelPieces:
             return log.total_bytes(TrafficKind.DATA_PARALLEL)
 
         assert dp_bytes(4) == dp_bytes(8)  # m=2 vs m=4 per replica
+
+
+def test_untraced_unlogged_step_skips_telemetry(monkeypatch):
+    """Without an active tracer or run logger, ``train_step`` must not
+    reach the telemetry or run-log publishers at all."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("publisher called on an unobserved step")
+
+    monkeypatch.setattr(PTDTrainer, "_publish_telemetry", forbidden)
+    monkeypatch.setattr(PTDTrainer, "_publish_runlog", forbidden)
+    trainer = make_trainer(p=2, d=2, B=4)
+    ids, targets = global_batch(4)
+    assert np.isfinite(trainer.train_step(ids, targets))

@@ -2,7 +2,7 @@
 
 ``repro.obs`` tracing **enabled** vs. the untraced baseline on a tiny
 PTD iteration (the observability contract): the span bookkeeping,
-byte attribution, and FLOP adapter together must cost less than 5% of
+byte attribution, and FLOP attribution together must cost less than 5% of
 iteration time.  When tracing is off, every hook is one
 empty-list check, so the untraced arm is the dormant path.
 

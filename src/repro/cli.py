@@ -58,6 +58,7 @@ and exit code 2 — no tracebacks for user input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from repro.config import GPTConfig, ParallelConfig
@@ -79,6 +80,51 @@ def _model_from(args) -> GPTConfig:
         vocab_size=args.vocab,
         seq_length=args.seq,
     )
+
+
+def _logged_run(args, source: str, model: GPTConfig,
+                parallel: ParallelConfig, run, **manifest) -> int:
+    """Call ``run(logger)`` -> exit code as one ``--runlog`` run.
+
+    Without ``--runlog`` this is ``run(None)``.  With it, the run is
+    registered under ``args.runlog`` (manifest: ``source``, the model and
+    parallel fingerprints, ``manifest``), its logger is active for the
+    call, and its log ends exactly once: ``failed`` if ``run`` raises or
+    returns non-zero, ``completed`` otherwise -- so no log is left
+    ``running`` for ``monitor --follow`` to wait on.
+    """
+    if not args.runlog:
+        return run(None)
+    from repro.obs.runlog import RunRegistry, run_logging
+
+    registry = RunRegistry(args.runlog)
+    logger, log_fh = registry.create(source)
+    status = "failed"
+    with contextlib.closing(log_fh):
+        try:
+            logger.start(
+                source,
+                model={"layers": model.num_layers,
+                       "hidden": model.hidden_size,
+                       "heads": model.num_attention_heads,
+                       "vocab": model.vocab_size,
+                       "seq": model.seq_length},
+                parallel={"p": parallel.pipeline_parallel_size,
+                          "t": parallel.tensor_parallel_size,
+                          "d": parallel.data_parallel_size,
+                          "B": parallel.global_batch_size},
+                **manifest,
+            )
+            with run_logging(logger):
+                rc = run(logger)
+            if rc == 0:
+                status = "completed"
+            return rc
+        finally:
+            logger.end(status)
+            print(f"run log: {registry.events_path(logger.run_id)} "
+                  f"(tail with `python -m repro monitor --runs "
+                  f"{args.runlog}`)")
 
 
 def _cmd_simulate(args) -> int:
@@ -146,10 +192,6 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    import contextlib
-
-    from repro.obs import phase_summary, trace, write_chrome_trace, write_metrics
-
     model = _model_from(args)
     parallel = ParallelConfig(
         pipeline_parallel_size=args.p,
@@ -160,32 +202,8 @@ def _cmd_trace(args) -> int:
         num_model_chunks=args.chunks,
     )
     parallel.validate_for_model(model)
-    with contextlib.ExitStack() as stack:
-        logger = None
-        if args.runlog:
-            from repro.obs.runlog import RunRegistry, run_logging
-
-            registry = RunRegistry(args.runlog)
-            logger, log_fh = registry.create(args.mode)
-            stack.enter_context(contextlib.closing(log_fh))
-            logger.start(
-                args.mode,
-                model={"layers": model.num_layers,
-                       "hidden": model.hidden_size,
-                       "heads": model.num_attention_heads,
-                       "vocab": model.vocab_size,
-                       "seq": model.seq_length},
-                parallel={"p": parallel.pipeline_parallel_size,
-                          "t": parallel.tensor_parallel_size,
-                          "d": parallel.data_parallel_size,
-                          "B": parallel.global_batch_size},
-            )
-            stack.enter_context(run_logging(logger))
-        rc = _run_trace(args, model, parallel)
-        if logger is not None:
-            logger.end("completed" if rc == 0 else "failed")
-            print(f"run log: {registry.events_path(logger.run_id)}")
-    return rc
+    return _logged_run(args, args.mode, model, parallel,
+                       lambda _: _run_trace(args, model, parallel))
 
 
 def _run_trace(args, model, parallel) -> int:
@@ -442,7 +460,6 @@ def _chaos_plan_from_args(args):
 
 
 def _cmd_chaos(args) -> int:
-    import contextlib
     import tempfile
 
     from repro.config import tiny_test_model
@@ -499,49 +516,26 @@ def _cmd_chaos(args) -> int:
         print(f"checkpoints: every {args.every} iterations, "
               f"keep last {args.keep_last}, under {directory}")
         print()
-        logger = None
-        runlog_ctx = contextlib.nullcontext()
         if args.monitor and not args.runlog:
             raise ValueError("--monitor needs --runlog DIR (the run log is "
                              "what the detectors watch)")
-        if args.runlog:
-            from repro.obs.runlog import RunRegistry, run_logging
+        report = logger = None
 
-            registry = RunRegistry(args.runlog)
-            logger, log_fh = registry.create("chaos")
-            stack.enter_context(contextlib.closing(log_fh))
-            logger.start(
-                "chaos",
-                model={"layers": config.num_layers,
-                       "hidden": config.hidden_size,
-                       "heads": config.num_attention_heads,
-                       "vocab": config.vocab_size,
-                       "seq": config.seq_length},
-                parallel={"p": parallel.pipeline_parallel_size,
-                          "t": parallel.tensor_parallel_size,
-                          "d": parallel.data_parallel_size,
-                          "B": parallel.global_batch_size},
-            )
-            runlog_ctx = run_logging(logger)
-        try:
-            with trace() as tracer, runlog_ctx:
-                report = harness.run()
-        except Exception:
-            if logger is not None and not logger.closed:
-                logger.end("failed")
-            raise
-        if logger is not None:
-            logger.end("completed")
-            events_path = registry.events_path(logger.run_id)
-            print(f"run log: {events_path} "
-                  f"(tail with `python -m repro monitor --runs "
-                  f"{args.runlog}`)")
+        def run(active_logger) -> int:
+            nonlocal report, logger
+            logger = active_logger
+            report = harness.run()
+            return 0
+
+        with trace() as tracer:
+            _logged_run(args, "chaos", config, parallel, run)
         print(report.describe())
         if args.monitor:
             from repro.obs.monitor import run_monitor, score_run
-            from repro.obs.runlog import read_events
+            from repro.obs.runlog import RunRegistry, read_events
 
-            events = read_events(events_path)
+            registry = RunRegistry(args.runlog)
+            events = read_events(registry.events_path(logger.run_id))
             monitor = run_monitor(events)
             print()
             for alert in monitor.alerts:
@@ -814,7 +808,6 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import contextlib
     import json
 
     from repro.config import tiny_test_model
@@ -871,93 +864,78 @@ def _cmd_serve(args) -> int:
         model, num_blocks=args.blocks, block_size=args.block_size,
         checksums=checksums,
     )
-    with contextlib.ExitStack() as stack:
-        logger = None
-        if args.runlog:
-            from repro.obs.runlog import RunRegistry
 
-            registry = RunRegistry(args.runlog)
-            logger, log_fh = registry.create("serve")
-            stack.enter_context(contextlib.closing(log_fh))
-            logger.start(
-                "serve",
-                model={"layers": config.num_layers,
-                       "hidden": config.hidden_size,
-                       "heads": config.num_attention_heads,
-                       "vocab": config.vocab_size,
-                       "seq": config.seq_length},
-                parallel={"p": 1, "t": 1, "d": 1, "B": 1},
-                requests=len(trace),
-            )
+    def run(logger) -> int:
         engine = ServeEngine(
             model, cache, logger=logger, chaos=plan,
             max_queue=args.max_queue, shed_policy=args.shed,
         )
         report = engine.run(trace)
-        if logger is not None:
-            logger.end("completed")
-            print(f"run log: {registry.events_path(logger.run_id)}")
-    cache.assert_empty()
-    metrics = report.to_dict()
-    agg = metrics["aggregate"]
-    print(f"model: {config}")
-    print(f"cache: {args.blocks} blocks x {args.block_size} positions; "
-          f"trace: {len(trace)} requests (rate {args.rate}/step, "
-          f"seed {args.seed})")
-    if plan is not None:
-        print(f"chaos: {len(plan.crashes)} crashes, "
-              f"{len(plan.corruptions)} corruptions, "
-              f"{len(plan.exhaustions)} exhaustion storms"
-              + ("; per-block checksums on" if checksums else ""))
-    print()
-    header = (f"{'request':<10} {'prompt':>6} {'gen':>4} {'ttft':>5} "
-              f"{'latency':>8} {'preempt':>8} {'retry':>6}  outcome")
-    print(header)
-    print("-" * len(header))
-    for req in report.requests:
-        detail = req.outcome
-        if req.outcome == "completed" and req.finish_reason:
-            detail = f"completed ({req.finish_reason})"
-        print(f"{req.request_id:<10} {req.prompt_tokens:>6} "
-              f"{req.generated_tokens:>4} {str(req.ttft_steps):>5} "
-              f"{str(req.latency_steps):>8} {req.preemptions:>8} "
-              f"{req.retries:>6}  {detail}")
-    print("-" * len(header))
-    outcomes = agg["outcomes"]
-    outcome_line = "  ".join(
-        f"{name}={count}" for name, count in sorted(outcomes.items())
-        if count
-    )
-    print(f"steps={agg['engine_steps']}  "
-          f"generated={agg['total_generated_tokens']} tokens  "
-          f"throughput={agg['tokens_per_s']:.1f} tok/s  "
-          f"ttft p95={agg['ttft_steps_p95']}  "
-          f"latency p95={agg['latency_steps_p95']}  "
-          f"preemptions={agg['preemptions']}  "
-          f"retries={agg['retries']}")
-    print(f"outcomes: {outcome_line}")
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.metrics_out}")
-    failures = [f"metrics schema: {v}" for v in validate_serve_metrics(metrics)]
-    if args.smoke:
-        # Differential gate: every *completed* engine stream must equal
-        # its single-request full-recompute oracle, token for token.
-        # Typed degradation outcomes (timeout/rejected/cancelled/failed)
-        # have no full stream to compare.
-        from repro.verify.differential import stream_failures
+        cache.assert_empty()
+        metrics = report.to_dict()
+        agg = metrics["aggregate"]
+        print(f"model: {config}")
+        print(f"cache: {args.blocks} blocks x {args.block_size} positions; "
+              f"trace: {len(trace)} requests (rate {args.rate}/step, "
+              f"seed {args.seed})")
+        if plan is not None:
+            print(f"chaos: {len(plan.crashes)} crashes, "
+                  f"{len(plan.corruptions)} corruptions, "
+                  f"{len(plan.exhaustions)} exhaustion storms"
+                  + ("; per-block checksums on" if checksums else ""))
+        print()
+        header = (f"{'request':<10} {'prompt':>6} {'gen':>4} {'ttft':>5} "
+                  f"{'latency':>8} {'preempt':>8} {'retry':>6}  outcome")
+        print(header)
+        print("-" * len(header))
+        for req in report.requests:
+            detail = req.outcome
+            if req.outcome == "completed" and req.finish_reason:
+                detail = f"completed ({req.finish_reason})"
+            print(f"{req.request_id:<10} {req.prompt_tokens:>6} "
+                  f"{req.generated_tokens:>4} {str(req.ttft_steps):>5} "
+                  f"{str(req.latency_steps):>8} {req.preemptions:>8} "
+                  f"{req.retries:>6}  {detail}")
+        print("-" * len(header))
+        outcomes = agg["outcomes"]
+        outcome_line = "  ".join(
+            f"{name}={count}" for name, count in sorted(outcomes.items())
+            if count
+        )
+        print(f"steps={agg['engine_steps']}  "
+              f"generated={agg['total_generated_tokens']} tokens  "
+              f"throughput={agg['tokens_per_s']:.1f} tok/s  "
+              f"ttft p95={agg['ttft_steps_p95']}  "
+              f"latency p95={agg['latency_steps_p95']}  "
+              f"preemptions={agg['preemptions']}  "
+              f"retries={agg['retries']}")
+        print(f"outcomes: {outcome_line}")
+        if args.metrics_out:
+            with open(args.metrics_out, "w", encoding="utf-8") as fh:
+                json.dump(metrics, fh, indent=2)
+                fh.write("\n")
+            print(f"wrote {args.metrics_out}")
+        failures = [f"metrics schema: {v}"
+                    for v in validate_serve_metrics(metrics)]
+        if args.smoke:
+            # Differential gate: every *completed* engine stream must
+            # equal its single-request full-recompute oracle, token for
+            # token.  Typed degradation outcomes (timeout/rejected/
+            # cancelled/failed) have no full stream to compare.
+            from repro.verify.differential import stream_failures
 
-        completed = {r.request_id for r in report.requests
-                     if r.outcome == "completed"}
-        failures += stream_failures(model, trace, engine.outputs,
-                                    completed=completed)
-        print(f"smoke: {len(completed)} completed streams checked "
-              f"against the oracle, {len(failures)} violations")
-    for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+            completed = {r.request_id for r in report.requests
+                         if r.outcome == "completed"}
+            failures += stream_failures(model, trace, engine.outputs,
+                                        completed=completed)
+            print(f"smoke: {len(completed)} completed streams checked "
+                  f"against the oracle, {len(failures)} violations")
+        for failure in failures:
+            print(f"error: {failure}", file=sys.stderr)
+        return 1 if failures else 0
+
+    return _logged_run(args, "serve", config, ParallelConfig(), run,
+                       requests=len(trace))
 
 
 def _cmd_verify(args) -> int:

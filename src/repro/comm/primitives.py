@@ -33,10 +33,12 @@ from .traffic import TrafficKind, TrafficLog
 def _comm_span(name: str, ranks: Sequence[int], kind: TrafficKind, tag: str):
     """One span per collective, on the group-leader rank's track.
 
-    Bytes are attached by the TrafficLog->tracer adapter, which credits
-    every logged hop to the innermost open span -- i.e. exactly this
-    one, so span byte totals equal the log's ground truth.  When no
-    tracer is active this is a no-op context manager.
+    Bytes are attached by ``TrafficLog.add``, which reports every
+    logged hop to each active tracer (the observer-stack contract in
+    :mod:`repro.obs.tracer`); a tracer credits it to its innermost open
+    span -- i.e. exactly this one, so span byte totals equal the log's
+    ground truth.  When no tracer is active this is a no-op context
+    manager.
     """
     return _obs_span(
         name,

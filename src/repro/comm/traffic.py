@@ -63,8 +63,8 @@ class TrafficLog:
     ) -> None:
         record = TransferRecord(src, dst, int(nbytes), kind, tag)
         self.records.append(record)
-        # Adapter into repro.obs: attribute the transfer to any active
-        # tracer (span + metrics); a no-op when tracing is off.
+        # Attribute the transfer to every active tracer (span +
+        # metrics; see repro.obs.tracer); a no-op when tracing is off.
         record_transfer(record.nbytes, record.kind.value)
 
     def total_bytes(self, kind: TrafficKind | None = None) -> int:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .profiler import matmul_flops, record_gemm_flops
+
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 GELU_COEFF = 0.044715
 
@@ -82,8 +84,6 @@ def linear_forward(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None
 ) -> tuple[np.ndarray, tuple]:
     """y = x @ W + b with x of shape (..., in), W of shape (in, out)."""
-    from .profiler import matmul_flops, record_gemm_flops
-
     y = x @ weight
     if bias is not None:
         y = y + bias
@@ -96,8 +96,6 @@ def linear_backward(
     dy: np.ndarray, cache: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Returns (dx, dweight, dbias)."""
-    from .profiler import matmul_flops, record_gemm_flops
-
     x, weight, has_bias = cache
     dx = dy @ weight.T
     x2 = x.reshape(-1, x.shape[-1])

@@ -1,7 +1,8 @@
 """FLOP accounting for the numeric engine.
 
-A process-global meter that the numeric modules report their matrix-
-multiplication work to.  This closes the loop between the two halves of
+A meter that the numeric modules report their matrix-multiplication
+work to while it is active on the observer stack of
+:mod:`repro.obs.tracer`.  This closes the loop between the two halves of
 the reproduction: the FLOPs *actually executed* by the numpy engine for
 one training iteration must equal the paper's closed-form eq. (3)
 (tested in ``tests/test_profiler.py``), so the analytical model and the
@@ -21,8 +22,10 @@ multiply-add counts as 2 FLOPs.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
+from typing import ContextManager
+
+from repro.obs.tracer import _ACTIVE, Tracer, activate
 
 
 @dataclass
@@ -44,13 +47,14 @@ class FlopMeter:
         return self.by_category.get(name, 0)
 
 
-_ACTIVE: list[FlopMeter] = []
-
-
 def record_gemm_flops(category: str, flops: int) -> None:
-    """Report GEMM work to every active meter (no-op when none)."""
-    for meter in _ACTIVE:
-        meter.add(category, flops)
+    """Report GEMM work to every active meter and tracer (no-op when
+    none; see the observer-stack contract in :mod:`repro.obs.tracer`)."""
+    for role, observer in _ACTIVE:
+        if role is FlopMeter:
+            observer.add(category, flops)
+        elif role is Tracer:
+            observer.on_flops(category, flops)
 
 
 def matmul_flops(*shape: int) -> int:
@@ -61,18 +65,6 @@ def matmul_flops(*shape: int) -> int:
     return out
 
 
-@contextlib.contextmanager
-def count_flops():
+def count_flops() -> ContextManager[FlopMeter]:
     """Context manager activating a fresh :class:`FlopMeter`."""
-    meter = FlopMeter()
-    _ACTIVE.append(meter)
-    try:
-        yield meter
-    finally:
-        # Pop by identity, not equality: FlopMeter is a dataclass, so
-        # two meters with identical contents (e.g. nested empty meters)
-        # compare equal and list.remove would deactivate the wrong one.
-        for i in range(len(_ACTIVE) - 1, -1, -1):
-            if _ACTIVE[i] is meter:
-                del _ACTIVE[i]
-                break
+    return activate(FlopMeter, FlopMeter())

@@ -1,25 +1,29 @@
-"""Unified observability: tracing, metrics, and exporters.
+"""Unified observability: tracing, metrics, run logs, and exporters.
 
-``repro.obs`` is the single place where the system's three measurement
+``repro.obs`` is the single place where the system's measurement
 streams meet:
 
 - **spans** — structured, nestable ``(rank, phase, name, start, end)``
   intervals from the schedule executor, the comm primitives, the
   trainers, and the simulator (:mod:`repro.obs.tracer`);
 - **metrics** — counters/gauges/histograms in a
-  :class:`~repro.obs.metrics.MetricsRegistry`, fed by the
-  :class:`~repro.nn.profiler.FlopMeter` and
-  :class:`~repro.comm.traffic.TrafficLog` adapters
-  (:mod:`repro.obs.adapters`);
+  :class:`~repro.obs.metrics.MetricsRegistry`; a tracer's registry
+  receives every GEMM FLOP and every TrafficLog byte recorded while it
+  is active;
+- **run events** — append-only JSONL run logs and the ``repro
+  monitor`` detectors that read them (:mod:`repro.obs.runlog`,
+  :mod:`repro.obs.monitor`);
 - **exports** — Chrome ``trace_event`` JSON (Perfetto /
   chrome://tracing), a flat phase-summary table, and a metrics dump
   (:mod:`repro.obs.export`), surfaced by ``python -m repro trace``.
 
-Activate with ``with trace() as tracer: ...``; when no tracer is
-active every instrumentation hook short-circuits on an empty list.
+Tracers, FLOP meters, run loggers and collective sanitizers are all
+activated on one observer stack; its contract is stated once, in
+:mod:`repro.obs.tracer`.  Activate tracing with ``with trace() as
+tracer: ...``; when nothing is active every instrumentation hook
+short-circuits on the empty list.
 """
 
-from .adapters import TracerFlopMeter, flop_adapter, replay_traffic_log
 from .monitor import (
     Alert,
     CheckpointHealthDetector,
@@ -107,9 +111,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "TracerFlopMeter",
-    "flop_adapter",
-    "replay_traffic_log",
     "chrome_trace",
     "chrome_trace_events",
     "counter_events",

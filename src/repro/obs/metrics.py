@@ -109,20 +109,30 @@ class Histogram:
 
 @dataclass
 class MetricsRegistry:
-    """Get-or-create store of named metrics."""
+    """Get-or-create store of named metrics (a lookup of an existing
+    metric constructs nothing)."""
 
     counters: dict[str, Counter] = field(default_factory=dict)
     gauges: dict[str, Gauge] = field(default_factory=dict)
     histograms: dict[str, Histogram] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
-        return self.counters.setdefault(name, Counter())
+        metric = self.counters.get(name)
+        if metric is None:
+            metric = self.counters[name] = Counter()
+        return metric
 
     def gauge(self, name: str) -> Gauge:
-        return self.gauges.setdefault(name, Gauge())
+        metric = self.gauges.get(name)
+        if metric is None:
+            metric = self.gauges[name] = Gauge()
+        return metric
 
     def histogram(self, name: str) -> Histogram:
-        return self.histograms.setdefault(name, Histogram())
+        metric = self.histograms.get(name)
+        if metric is None:
+            metric = self.histograms[name] = Histogram()
+        return metric
 
     def counter_value(self, name: str) -> float:
         """Value of ``name`` without creating it (0 when absent)."""

@@ -34,7 +34,7 @@ is that substrate for the reproduction:
   Every event carries the schema version ``v``, a monotone sequence
   number ``seq``, and a wall-clock (or injected-clock) timestamp ``t``.
 
-- an **active-logger stack** mirroring :mod:`repro.obs.tracer`:
+- **activation** on the observer stack of :mod:`repro.obs.tracer`:
   ``with run_logging(logger): ...`` makes
   :meth:`repro.parallel.trainer.PTDTrainer.train_step`, the
   discrete-event simulator, and the chaos harness emit events; when no
@@ -54,12 +54,13 @@ detector precision/recall/latency against.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, ContextManager, Iterable, Iterator, TextIO
+
+from .tracer import _ACTIVE, activate, innermost
 
 #: Version of the run-log JSONL format.  Bump on breaking changes; the
 #: reader refuses events from a different major version so a monitor
@@ -407,25 +408,15 @@ class RunRegistry:
         return dropped
 
 
-# -- the active-logger stack (tracer idiom) ---------------------------------
-
-_ACTIVE: list[RunLogger] = []
+# -- activation (the observer stack of repro.obs.tracer) --------------------
 
 
 def current_run_logger() -> RunLogger | None:
     """Innermost active run logger (None when run logging is off)."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    return innermost(RunLogger) if _ACTIVE else None
 
 
-@contextlib.contextmanager
-def run_logging(logger: RunLogger) -> Iterator[RunLogger]:
+def run_logging(logger: RunLogger) -> ContextManager[RunLogger]:
     """Activate ``logger`` so instrumented sites emit into it
-    (nestable, exception-safe; pop-by-identity like the tracer)."""
-    _ACTIVE.append(logger)
-    try:
-        yield logger
-    finally:
-        for i in range(len(_ACTIVE) - 1, -1, -1):
-            if _ACTIVE[i] is logger:
-                del _ACTIVE[i]
-                break
+    (nestable, exception-safe)."""
+    return activate(RunLogger, logger)

@@ -1,15 +1,12 @@
-"""Structured span tracing with a process-global active-tracer stack.
+"""Structured span tracing, and the one active-observer stack.
 
-The tracing twin of :func:`repro.nn.profiler.count_flops`: activating a
-:class:`Tracer` (``with trace() as tracer:``) makes every instrumented
-site in the codebase — the schedule executor's per-op forward/backward
-work, each collective in :mod:`repro.comm.primitives`, the trainer's
-iteration phases, the discrete-event simulator's timed ops — emit
-:class:`Span` records into it.  When no tracer is active every hook is
-a single ``if`` on an empty list, so the instrumented hot paths stay
-effectively free.  ``benchmarks/bench_trace_overhead.py`` measures
-the cost with tracing *on* (estimator and readings: README, "Overhead
-and speedup guards").
+Activating a :class:`Tracer` (``with trace() as tracer:``) makes every
+instrumented site in the codebase — the schedule executor's per-op
+forward/backward work, each collective in :mod:`repro.comm.primitives`,
+the trainer's iteration phases, the discrete-event simulator's timed
+ops — emit :class:`Span` records into it.
+``benchmarks/bench_trace_overhead.py`` measures the cost with tracing
+*on* (estimator and readings: README, "Overhead and speedup guards").
 
 A span carries ``(rank, phase, name, start, end)`` plus attached
 counters (``bytes``, ``flops``, ``stage``, ...).  Ranks are *virtual
@@ -25,20 +22,51 @@ Two clock regimes coexist:
 - **simulated spans** (``tracer.add_span(...)``) carry explicit
   start/end from a modelled timeline, e.g. the §2.2 list scheduler.
 
-Byte and FLOP accounting feed in through adapters: every
-:class:`~repro.comm.traffic.TrafficLog` transfer and every
-:func:`~repro.nn.profiler.record_gemm_flops` call is attributed to the
-innermost open span *and* to the tracer's
-:class:`~repro.obs.metrics.MetricsRegistry` (``comm.bytes.<kind>``,
-``flops.<category>``), so span totals match the logs exactly.
-"""
+The active-observer stack
+-------------------------
+Every in-process observer — tracers, FLOP meters, run loggers and
+collective sanitizers — is activated on one process-global list,
+:data:`_ACTIVE`, of ``(role, observer)`` entries, innermost last.  The
+role is the observer class the activation point names, never the
+observed object's type, so a duck-typed stand-in (the chaos harness's
+telemetry-fault proxy) activated by :func:`~repro.obs.runlog.run_logging`
+is a run logger:
 
+=================================================  ====================
+activation point                                   role
+=================================================  ====================
+:func:`trace`                                      :class:`Tracer`
+:func:`repro.nn.profiler.count_flops`              ``FlopMeter``
+:func:`repro.obs.runlog.run_logging`               ``RunLogger``
+``with CollectiveSanitizer():``                    ``CollectiveSanitizer``
+=================================================  ====================
+
+Activation is nestable and exception-safe; leaving it removes exactly
+its own entry (by identity — two empty dataclass observers compare
+equal).  The hooks read the list as follows:
+
+- ``current_tracer()``, ``current_run_logger()`` and
+  ``current_sanitizer()`` return the innermost observer of their role;
+- :func:`span` and :func:`sample` go to the innermost *tracer* only, so
+  a FLOP meter opened inside a trace does not take the trace's spans;
+- :func:`~repro.nn.profiler.record_gemm_flops` feeds every active meter
+  and tracer, :func:`record_transfer` every tracer (it is called from
+  ``TrafficLog.add``), and
+  :func:`~repro.verify.sanitizer.record_collective` every sanitizer.
+
+A tracer attributes each transfer and GEMM to its innermost open span
+*and* to its :class:`~repro.obs.metrics.MetricsRegistry`
+(``comm.bytes.<kind>``, ``flops.<category>``), so span totals match the
+TrafficLog / FlopMeter ground truth exactly.  With nothing active,
+every hook is one truthiness check (or loop) on the empty list, so the
+instrumented hot paths stay effectively free.
+"""
 from __future__ import annotations
 
 import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, ContextManager, Iterator
 
 from .metrics import MetricsRegistry
 
@@ -211,7 +239,7 @@ class Tracer:
         return self._stack[-1] if self._stack else None
 
     def on_transfer(self, nbytes: int, kind: str) -> None:
-        """Attribute one logged transfer (called by the TrafficLog hook)."""
+        """Attribute one logged transfer (from :func:`record_transfer`)."""
         self.metrics.counter(f"comm.bytes.{kind}").inc(nbytes)
         self.metrics.counter("comm.bytes.total").inc(nbytes)
         self.metrics.counter("comm.transfers").inc()
@@ -219,7 +247,7 @@ class Tracer:
             self._stack[-1].add_counter("bytes", nbytes)
 
     def on_flops(self, category: str, flops: int) -> None:
-        """Attribute GEMM work (called by the FlopMeter adapter)."""
+        """Attribute GEMM work (called by ``record_gemm_flops``)."""
         self.metrics.counter(f"flops.{category}").inc(flops)
         self.metrics.counter("flops.total").inc(flops)
         if self._stack:
@@ -249,35 +277,66 @@ class Tracer:
         return len(self.spans)
 
 
-_ACTIVE: list[Tracer] = []
+# -- the active-observer stack (contract: module docstring) ------------------
+
+_ACTIVE: list[tuple[type, object]] = []
+
+
+def deactivate(role: type, observer: object) -> None:
+    """Remove the innermost ``(role, observer)`` entry, by identity."""
+    for i in range(len(_ACTIVE) - 1, -1, -1):
+        r, o = _ACTIVE[i]
+        if o is observer and r is role:
+            del _ACTIVE[i]
+            return
+
+
+@contextlib.contextmanager
+def activate(role: type, observer):
+    """Push ``observer`` under ``role`` for the block (nestable,
+    exception-safe)."""
+    _ACTIVE.append((role, observer))
+    try:
+        yield observer
+    finally:
+        deactivate(role, observer)
+
+
+def innermost(role: type):
+    """Innermost active observer of ``role``, or None."""
+    for entry in reversed(_ACTIVE):
+        if entry[0] is role:
+            return entry[1]
+    return None
 
 
 def current_tracer() -> Tracer | None:
     """Innermost active tracer (None when tracing is off)."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    return innermost(Tracer) if _ACTIVE else None
 
 
 def tracing_active() -> bool:
-    return bool(_ACTIVE)
+    return current_tracer() is not None
 
 
 def record_transfer(nbytes: int, kind: str) -> None:
     """Report one transfer to every active tracer (no-op when none).
 
-    This is the :class:`~repro.comm.traffic.TrafficLog` adapter entry
-    point; it is called from ``TrafficLog.add`` so *every* byte the
-    comm substrate accounts for is also attributed to the trace.
+    Called from ``TrafficLog.add``, so *every* byte the comm substrate
+    accounts for is also attributed to the trace.
     """
-    for tracer in _ACTIVE:
-        tracer.on_transfer(nbytes, kind)
+    for role, observer in _ACTIVE:
+        if role is Tracer:
+            observer.on_transfer(nbytes, kind)
 
 
 def sample(name: str, value: float, rank: int = GLOBAL_RANK,
            t: float | None = None) -> None:
     """Record a counter sample on the current tracer (no-op when
-    tracing is off — the same single-check null path as :func:`span`)."""
-    if _ACTIVE:
-        _ACTIVE[-1].sample(name, value, rank=rank, t=t)
+    tracing is off — the same null path as :func:`span`)."""
+    tracer = innermost(Tracer) if _ACTIVE else None
+    if tracer is not None:
+        tracer.sample(name, value, rank=rank, t=t)
 
 
 @contextlib.contextmanager
@@ -286,33 +345,14 @@ def span(name: str, phase: str = "", rank: int = GLOBAL_RANK,
     """Open a span on the current tracer, or do nothing if tracing is
     off.  The null path is a single truthiness check — instrumentation
     sites can use this unconditionally."""
-    if not _ACTIVE:
+    tracer = innermost(Tracer) if _ACTIVE else None
+    if tracer is None:
         yield None
         return
-    with _ACTIVE[-1].span(name, phase, rank, **counters) as s:
+    with tracer.span(name, phase, rank, **counters) as s:
         yield s
 
 
-@contextlib.contextmanager
-def trace(clock: Callable[[], float] | None = None) -> Iterator[Tracer]:
-    """Activate a fresh :class:`Tracer` (nestable, exception-safe).
-
-    Also installs the FLOP adapter so GEMM work recorded via
-    :func:`repro.nn.profiler.record_gemm_flops` lands in the tracer's
-    metrics and on the innermost open span.
-    """
-    from .adapters import flop_adapter  # deferred: adapters import Tracer
-
-    tracer = Tracer(clock=clock)
-    _ACTIVE.append(tracer)
-    try:
-        with flop_adapter(tracer):
-            yield tracer
-    finally:
-        # Pop by identity: a second tracer created while this one is
-        # active must not be confused with it (same fix as the
-        # count_flops() nesting bug).
-        for i in range(len(_ACTIVE) - 1, -1, -1):
-            if _ACTIVE[i] is tracer:
-                del _ACTIVE[i]
-                break
+def trace(clock: Callable[[], float] | None = None) -> ContextManager[Tracer]:
+    """Activate a fresh :class:`Tracer` (nestable, exception-safe)."""
+    return activate(Tracer, Tracer(clock=clock))

@@ -71,7 +71,7 @@ and an eager import of the conformance harness here (which imports
 from __future__ import annotations
 
 _EXPORTS = {
-    # sanitizer (dependency-free; safe for the comm substrate to import)
+    # sanitizer (imports only repro.obs.tracer; safe for the comm substrate)
     "CollectiveEvent": "sanitizer",
     "CollectiveMismatch": "sanitizer",
     "CollectiveSanitizer": "sanitizer",

@@ -19,18 +19,21 @@ same order -- on a's timeline and on b's.  A divergence means a would
 post a collective b never matches: a deadlock (order/op mismatch) or
 silent corruption (shape/dtype mismatch) on real ranks.
 
-The hook follows the :mod:`repro.obs.tracer` pattern: a process-global
-stack of active sanitizers, a module-level :func:`record_collective`
-entry point that is a no-op (one truthiness check) when no sanitizer is
-active, so the instrumented primitives stay effectively free.
+A sanitizer is active on the observer stack of :mod:`repro.obs.tracer`
+(the one-stack contract is stated there); the module-level
+:func:`record_collective` entry point is a no-op (a loop over the
+empty list) when nothing is active, so the instrumented primitives
+stay effectively free.
 
-This module intentionally imports nothing from the rest of ``repro`` so
-the comm substrate can depend on it without cycles.
+Besides that stack this module imports nothing from ``repro``, so the
+comm substrate can depend on it without cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from repro.obs.tracer import _ACTIVE, deactivate, innermost
 
 
 @dataclass(frozen=True)
@@ -179,35 +182,26 @@ class CollectiveSanitizer:
     def num_events(self) -> int:
         return sum(len(t) for t in self.timelines.values())
 
-    # -- activation ---------------------------------------------------------
+    # -- activation (the observer stack of repro.obs.tracer) ----------------
     def __enter__(self) -> "CollectiveSanitizer":
-        _ACTIVE.append(self)
+        _ACTIVE.append((CollectiveSanitizer, self))
         return self
 
     def __exit__(self, *exc) -> None:
-        # Pop by identity (same rationale as the tracer/FlopMeter stacks:
-        # two empty sanitizers compare equal as dataclasses).
-        for i in range(len(_ACTIVE) - 1, -1, -1):
-            if _ACTIVE[i] is self:
-                del _ACTIVE[i]
-                break
-
-
-_ACTIVE: list[CollectiveSanitizer] = []
+        deactivate(CollectiveSanitizer, self)
 
 
 def current_sanitizer() -> CollectiveSanitizer | None:
     """Innermost active sanitizer (None when sanitizing is off)."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    return innermost(CollectiveSanitizer) if _ACTIVE else None
 
 
 def record_collective(op: str, ranks, shape, dtype, tag: str = "") -> None:
     """Report one group collective to every active sanitizer.
 
-    This is the hook :mod:`repro.comm.primitives` calls; a single
-    truthiness check when no sanitizer is active.
+    This is the hook :mod:`repro.comm.primitives` calls; one loop over
+    the empty list when nothing is active.
     """
-    if not _ACTIVE:
-        return
-    for san in _ACTIVE:
-        san.record(op, ranks, shape, dtype, tag)
+    for role, observer in _ACTIVE:
+        if role is CollectiveSanitizer:
+            observer.record(op, ranks, shape, dtype, tag)

@@ -759,6 +759,34 @@ class TestTraceRunlog:
         assert any(e["type"] == "iteration" for e in events)
 
 
+class TestFailedRunlog:
+    """A ``--runlog`` run that fails still ends its log, so neither
+    ``monitor --list`` nor ``monitor --follow`` sees it running."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--blocks", "1", "--block-size", "1"],
+        [*TINY_TRACE, "--out", "missing-dir/t.json"],
+    ], ids=["serve-pool-too-small", "trace-unwritable-out"])
+    def test_failed_run_ends_failed(self, argv, tmp_path, monkeypatch,
+                                    capsys):
+        from repro.obs.runlog import RunRegistry, read_events
+
+        monkeypatch.chdir(tmp_path)
+        runs = tmp_path / "runs"
+        rc = main([*argv, "--runlog", str(runs)])
+        assert rc == 2
+        assert "run log:" in capsys.readouterr().out
+        registry = RunRegistry(str(runs))
+        events = read_events(registry.events_path(registry.latest()))
+        assert [e["type"] for e in events].count("run-end") == 1
+        assert events[-1]["type"] == "run-end"
+        assert events[-1]["status"] == "failed"
+        rc = main(["monitor", "--runs", str(runs), "--list"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "failed" in out and "running" not in out
+
+
 class TestServeCLI:
     SERVE = ["serve", "--requests", "5", "--rate", "0.8", "--seed", "1"]
 

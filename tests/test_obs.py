@@ -1,12 +1,13 @@
 """Tests for the unified observability subsystem (repro.obs).
 
 Covers the span nesting invariants, the zero-overhead no-op path, the
-Chrome-trace exporter's schema, the metrics registry, the adapter
-shims, and the headline guarantee: an end-to-end trace of a
+Chrome-trace exporter's schema, the metrics registry, the one
+active-observer stack, and the headline guarantee: an end-to-end trace of a
 (p=2, t=2, d=2) iteration whose byte and FLOP totals equal the
 TrafficLog / FlopMeter ground truth exactly.
 """
 
+import io
 import itertools
 import json
 
@@ -19,18 +20,23 @@ from repro.nn.profiler import count_flops, record_gemm_flops
 from repro.obs import (
     GLOBAL_RANK,
     MetricsRegistry,
+    RunLogger,
     Tracer,
     chrome_trace,
+    current_run_logger,
     current_tracer,
     metrics_json,
     phase_summary,
-    replay_traffic_log,
+    run_logging,
+    sample,
     span,
     trace,
     tracing_active,
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.obs.tracer import _ACTIVE
+from repro.verify.sanitizer import CollectiveSanitizer, current_sanitizer
 
 
 def ticker():
@@ -169,15 +175,66 @@ class TestAdapters:
             record_gemm_flops("linear", 10)
         assert meter.total_flops == 10
 
-    def test_replay_traffic_log(self):
-        log = TrafficLog()
-        with trace(clock=ticker()):
-            pass  # log filled outside any tracer
-        log.add(0, 1, 100, TrafficKind.PIPELINE_P2P)
-        t = Tracer()
-        replay_traffic_log(t, log)
-        assert t.metrics.counter_value("comm.bytes.pp") == 100
-        assert t.metrics.counter_value("comm.transfers") == 1
+
+def _run_logger():
+    return RunLogger(io.StringIO(), "stack-test")
+
+
+class TestObserverStack:
+    """One ``(role, observer)`` list behind every ``current_*()`` hook."""
+
+    def test_meter_inside_trace_leaves_spans_to_tracer(self):
+        with trace(clock=ticker()) as t:
+            with span("outer", phase="forward"):
+                with count_flops() as meter:
+                    with span("op", phase="forward") as s:
+                        record_gemm_flops("linear", 100)
+                    record_gemm_flops("logits", 20)
+        assert s is not None
+        assert [x.name for x in t.spans] == ["outer", "op"]
+        assert t.spans[1].counters["flops"] == 100
+        assert meter.total_flops == 120
+        assert t.metrics.counter_value("flops.total") == 120
+        assert t.counter_total("flops") == 120
+
+    @pytest.mark.parametrize("activation", [
+        count_flops,
+        lambda: run_logging(_run_logger()),
+        CollectiveSanitizer,
+    ], ids=["meter", "run-logger", "sanitizer"])
+    def test_non_tracer_observers_do_not_trace(self, activation):
+        with activation():
+            assert _ACTIVE
+            assert current_tracer() is None
+            assert not tracing_active()
+            with span("anything", phase="x") as s:
+                assert s is None
+            sample("series", 1.0)  # no tracer: a no-op, not an error
+            TrafficLog().add(0, 1, 64, TrafficKind.DATA_PARALLEL)
+
+    def test_role_is_set_by_activation_not_type(self):
+        proxy = type("Proxy", (), {})()  # duck-typed, not a RunLogger
+        with trace() as t, run_logging(proxy):
+            assert current_run_logger() is proxy
+            assert current_tracer() is t
+            assert current_sanitizer() is None
+        assert current_run_logger() is None
+
+    def test_exception_in_mixed_nesting_pops_only_its_own(self):
+        depth = len(_ACTIVE)
+        logger = _run_logger()
+        with trace(clock=ticker()) as t, count_flops() as meter:
+            with pytest.raises(RuntimeError):
+                with run_logging(logger), CollectiveSanitizer():
+                    with count_flops():
+                        raise RuntimeError("boom")
+            assert current_run_logger() is None
+            assert current_sanitizer() is None
+            assert current_tracer() is t
+            record_gemm_flops("linear", 5)
+        assert meter.total_flops == 5
+        assert t.metrics.counter_value("flops.linear") == 5
+        assert len(_ACTIVE) == depth
 
 
 class TestChromeTraceExport:
